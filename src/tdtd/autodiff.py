@@ -11,6 +11,7 @@ deterministic: two runs over the same graph produce identical gradients.
 """
 from __future__ import annotations
 
+import base64
 import math
 
 import numpy as np
@@ -756,20 +757,25 @@ def gradient_check(closure, store, eps=1e-5, samples_per_tensor=8, rng=None,
 # ---------------------------------------------------------------------------
 # checkpoint serialization
 
-CHECKPOINT_MAGIC = "TDTD-CKPT v1"
+CHECKPOINT_MAGIC = "TDTD-CKPT v2"
+_CHECKPOINT_MAGIC_V1 = "TDTD-CKPT v1"
+_CHECKPOINT_END = "end"
 
 
 def format_params(store):
-    """Serialize a ParamStore to checkpoint text (17 significant digits)."""
+    """Serialize a ParamStore to checkpoint text.
+
+    Each tensor is a `name ndim d1 d2 ...` header line followed by one line
+    of standard base64 over its C-order little-endian float64 bytes, so the
+    round trip is bit-exact; a final `end` line marks a complete file.
+    """
     lines = [CHECKPOINT_MAGIC]
     for name, t in store.items():
         dims = " ".join(str(d) for d in t.values.shape)
         lines.append(f"{name} {t.values.ndim} {dims}".rstrip())
-        flat = t.values.reshape(-1)
-        for off in range(0, flat.size, 8):
-            lines.append(" ".join("%.17g" % v for v in flat[off : off + 8]))
-        if flat.size == 0:
-            lines.append("")
+        raw = np.ascontiguousarray(t.values, "<f8").tobytes()
+        lines.append(base64.b64encode(raw).decode("ascii"))
+    lines.append(_CHECKPOINT_END)
     return "\n".join(lines) + "\n"
 
 
@@ -779,15 +785,104 @@ def save_params(store, destination):
 
 
 def parse_params(text, expect_shapes=None):
-    """Parse checkpoint text into a ParamStore.
+    """Parse checkpoint text (a string, or a list of its lines) into a ParamStore.
 
-    With `expect_shapes` (name -> shape tuple), missing tensors, extra
-    tensors and shape mismatches raise CheckpointError naming the tensor.
+    Reads the current `TDTD-CKPT v2` format and the older `TDTD-CKPT v1`
+    (decimal values).  Malformed input raises CheckpointError naming the
+    line, and the tensor where there is one.  With `expect_shapes` (name ->
+    shape tuple), missing tensors, extra tensors and shape mismatches raise
+    CheckpointError naming the tensor.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != CHECKPOINT_MAGIC:
+    lines = text.splitlines() if isinstance(text, str) else text
+    magic = lines[0].strip() if lines else ""
+    if magic == CHECKPOINT_MAGIC:
+        tensors = _read_tensors_v2(lines)
+    elif magic == _CHECKPOINT_MAGIC_V1:
+        tensors = _read_tensors_v1(lines)
+    else:
         raise CheckpointError(f"line 1: expected header {CHECKPOINT_MAGIC!r}")
     store = ParamStore()
+    for lineno, name, shape, values in tensors:
+        if name in store:
+            raise CheckpointError(f"line {lineno}: duplicate tensor {name!r}")
+        if expect_shapes is not None:
+            if name not in expect_shapes:
+                raise CheckpointError(f"line {lineno}: unexpected tensor {name!r}")
+            if tuple(expect_shapes[name]) != shape:
+                raise CheckpointError(
+                    f"line {lineno}: tensor {name!r}: expected shape "
+                    f"{tuple(expect_shapes[name])}, found {shape}"
+                )
+        store.add(name, Tensor(values))
+    if expect_shapes is not None:
+        for name in expect_shapes:
+            if name not in store:
+                raise CheckpointError(f"missing tensor {name!r}")
+    return store
+
+
+def _parse_tensor_header(header, lineno):
+    """(name, shape, element count) from a split `name ndim d1 d2 ...` line."""
+    if len(header) < 2:
+        raise CheckpointError(f"line {lineno}: malformed tensor header")
+    name = header[0]
+    try:
+        ndim = int(header[1])
+        shape = tuple(int(d) for d in header[2 : 2 + ndim])
+    except ValueError:
+        raise CheckpointError(f"line {lineno}: malformed tensor header") from None
+    if len(shape) != ndim or len(header) != 2 + ndim or min(shape, default=0) < 0:
+        raise CheckpointError(f"line {lineno}: malformed tensor header")
+    count = 1
+    for d in shape:
+        count *= d
+    return name, shape, count
+
+
+def _read_tensors_v2(lines):
+    """Yield (header line number, name, shape, values) from base64 checkpoint lines."""
+    n_lines = len(lines)
+    i = 1
+    while True:
+        if i >= n_lines:
+            raise CheckpointError(
+                f"line {n_lines}: unexpected end of file, expected {_CHECKPOINT_END!r}"
+            )
+        lineno = i + 1
+        header = lines[i].split()
+        if header == [_CHECKPOINT_END]:
+            break
+        name, shape, count = _parse_tensor_header(header, lineno)
+        if i + 1 >= n_lines:
+            raise CheckpointError(
+                f"line {n_lines}: unexpected end of file in tensor {name!r}"
+            )
+        try:
+            raw = base64.b64decode(lines[i + 1], validate=True)
+        except ValueError:  # binascii.Error, or non-ASCII text
+            raise CheckpointError(
+                f"line {lineno + 1}: bad base64 in tensor {name!r}"
+            ) from None
+        if len(raw) < 8 * count:
+            raise CheckpointError(
+                f"line {lineno + 1}: unexpected end of file in tensor {name!r} "
+                f"({len(raw)} of {8 * count} bytes)"
+            )
+        if len(raw) > 8 * count:
+            raise CheckpointError(f"line {lineno + 1}: too many values for {name!r}")
+        # astype copies, so the array is writable and owns its data
+        values = np.frombuffer(raw, "<f8").reshape(shape).astype(np.float64)
+        yield lineno, name, shape, values
+        i += 2
+    for j in range(i + 1, n_lines):
+        if lines[j].strip():
+            raise CheckpointError(
+                f"line {j + 1}: unexpected text after {_CHECKPOINT_END!r}"
+            )
+
+
+def _read_tensors_v1(lines):
+    """Yield (header line number, name, shape, values) from decimal checkpoint lines."""
     i = 1
     n_lines = len(lines)
     while i < n_lines:
@@ -796,19 +891,7 @@ def parse_params(text, expect_shapes=None):
             i += 1
             continue
         lineno = i + 1
-        if len(header) < 2:
-            raise CheckpointError(f"line {lineno}: malformed tensor header")
-        name = header[0]
-        try:
-            ndim = int(header[1])
-            shape = tuple(int(d) for d in header[2 : 2 + ndim])
-        except ValueError:
-            raise CheckpointError(f"line {lineno}: malformed tensor header") from None
-        if len(shape) != ndim or len(header) != 2 + ndim:
-            raise CheckpointError(f"line {lineno}: malformed tensor header")
-        count = 1
-        for d in shape:
-            count *= d
+        name, shape, count = _parse_tensor_header(header, lineno)
         values = np.empty(count)
         got = 0
         i += 1
@@ -828,22 +911,7 @@ def parse_params(text, expect_shapes=None):
                     ) from None
                 got += 1
             i += 1
-        if name in store:
-            raise CheckpointError(f"duplicate tensor {name!r}")
-        if expect_shapes is not None:
-            if name not in expect_shapes:
-                raise CheckpointError(f"unexpected tensor {name!r}")
-            if tuple(expect_shapes[name]) != shape:
-                raise CheckpointError(
-                    f"tensor {name!r}: expected shape {tuple(expect_shapes[name])}, "
-                    f"found {shape}"
-                )
-        store.add(name, Tensor(values.reshape(shape)))
-    if expect_shapes is not None:
-        for name in expect_shapes:
-            if name not in store:
-                raise CheckpointError(f"missing tensor {name!r}")
-    return store
+        yield lineno, name, shape, values.reshape(shape)
 
 
 def load_params(source, expect_shapes=None):

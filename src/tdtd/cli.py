@@ -297,8 +297,10 @@ def cmd_generate(args, cfg):
     model_path = _resolve(args, cfg, "model_file")
     if not model_path:
         raise CliError("--model-file is required")
-    model = load_model(model_path)
     count = _resolve(args, cfg, "count", 100)
+    if count < 1:
+        raise CliError("--count must be >= 1")
+    model = load_model(model_path)
     greedy = _resolve(args, cfg, "greedy", False)
     seed = _resolve_seed(args, cfg, required=not greedy)
     out = _resolve(args, cfg, "out")

@@ -232,33 +232,25 @@ def labeled_spans(tree):
     spans = Counter()
     # terminal positions by depth-first order
     position = {}
-    idx = 0
+    order = []
     stack = [tree.root]
     while stack:
         i = stack.pop()
+        order.append(i)
         node = tree.nodes[i]
         if node.terminal:
-            position[i] = idx
-            idx += 1
+            position[i] = len(position)
         else:
             stack.extend(reversed(node.children))
+    # reversed pre-order bounds every child before its parent, without recursion
     bounds = {}
-
-    def compute(i):
+    for i in reversed(order):
         node = tree.nodes[i]
         if node.terminal:
             bounds[i] = (position[i], position[i] + 1)
-            return bounds[i]
-        lo = math.inf
-        hi = -math.inf
-        for c in node.children:
-            clo, chi = compute(c)
-            lo = min(lo, clo)
-            hi = max(hi, chi)
-        bounds[i] = (lo, hi)
-        return bounds[i]
-
-    compute(tree.root)
+        else:
+            bounds[i] = (min((bounds[c][0] for c in node.children), default=math.inf),
+                         max((bounds[c][1] for c in node.children), default=-math.inf))
     for i, node in enumerate(tree.nodes):
         if node.terminal:
             continue

@@ -2,17 +2,22 @@
 
 Layout (UTF-8, LF):
 
-    TDTD-MODEL v1
+    TDTD-MODEL v2
     kind=tdtd            # tdtd | tdtd-p | seq-lm
     hidden_size=32
     ...                  # every scalar config field, key=value
-    [nonterminals]       # one symbol per line ([tokens] for seq-lm)
-    S
-    [terminals]
+    [nonterminals] 1     # symbol count, then one symbol per line
+    S                    # ([tokens] N for seq-lm)
+    [terminals] 1
     <unk>
     [params]
-    TDTD-CKPT v1
+    TDTD-CKPT v2         # see autodiff.format_params
     ...
+    end
+
+`TDTD-MODEL v1` files, whose listings carry no count and run until the next
+line that starts with `[`, are still read.  That is why v2 counts: a symbol
+such as `[` ended a v1 listing early.
 """
 from __future__ import annotations
 
@@ -25,7 +30,8 @@ from .seqlm import SeqLmConfig, SeqLmModel
 
 __all__ = ["ModelIoError", "save_model", "load_model"]
 
-MODEL_MAGIC = "TDTD-MODEL v1"
+MODEL_MAGIC = "TDTD-MODEL v2"
+_MODEL_MAGIC_V1 = "TDTD-MODEL v1"
 
 
 class ModelIoError(ValueError):
@@ -42,13 +48,13 @@ def _format_header(model):
 def save_model(model, destination):
     lines = _format_header(model)
     if model.kind == "seq-lm":
-        lines.append("[tokens]")
-        lines.extend(model.config.tokens)
+        listings = {"tokens": model.config.tokens}
     else:
-        lines.append("[nonterminals]")
-        lines.extend(model.config.nonterminals)
-        lines.append("[terminals]")
-        lines.extend(model.config.terminals)
+        listings = {"nonterminals": model.config.nonterminals,
+                    "terminals": model.config.terminals}
+    for section, symbols in listings.items():
+        lines.append(f"[{section}] {len(symbols)}")
+        lines.extend(symbols)
     lines.append("[params]")
     text = "\n".join(lines) + "\n" + ad.format_params(model.store)
     with open(destination, "w", encoding="utf-8", newline="\n") as fh:
@@ -70,11 +76,26 @@ def _parse_scalars(lines, start):
     return scalars, i
 
 
-def _parse_listing(lines, i, section):
-    if i >= len(lines) or lines[i].strip() != f"[{section}]":
+def _parse_listing(lines, i, section, counted):
+    """Symbols of one `[section]` listing starting at line index i, and the
+    index after it.  Counted (v2) listings hold exactly the stated number of
+    lines, each one symbol verbatim."""
+    header = lines[i].split() if i < len(lines) else []
+    if not header or header[0] != f"[{section}]" or len(header) != 1 + counted:
         found = lines[i].strip() if i < len(lines) else "<end of file>"
-        raise ModelIoError(f"line {i + 1}: expected [{section}], found {found!r}")
+        expected = f"[{section}] <count>" if counted else f"[{section}]"
+        raise ModelIoError(f"line {i + 1}: expected {expected}, found {found!r}")
     i += 1
+    if counted:
+        if not header[1].isdecimal():
+            raise ModelIoError(f"line {i}: bad symbol count {header[1]!r}")
+        count = int(header[1])
+        if i + count > len(lines):
+            raise ModelIoError(
+                f"line {len(lines)}: unexpected end of file in [{section}] "
+                f"({len(lines) - i} of {count} symbols)"
+            )
+        return lines[i : i + count], i + count
     symbols = []
     while i < len(lines) and not lines[i].startswith("["):
         sym = lines[i].rstrip("\n")
@@ -88,8 +109,10 @@ def load_model(source):
     with open(source, "r", encoding="utf-8") as fh:
         text = fh.read()
     lines = text.splitlines()
-    if not lines or lines[0].strip() != MODEL_MAGIC:
+    magic = lines[0].strip() if lines else ""
+    if magic not in (MODEL_MAGIC, _MODEL_MAGIC_V1):
         raise ModelIoError(f"line 1: expected header {MODEL_MAGIC!r}")
+    counted = magic == MODEL_MAGIC
     scalars, i = _parse_scalars(lines, 1)
     kind = scalars.pop("kind", None)
     if kind not in ("tdtd", "tdtd-p", "seq-lm"):
@@ -104,7 +127,7 @@ def load_model(source):
             raise ModelIoError(f"bad integer for {key!r}: {scalars[key]!r}") from None
 
     if kind == "seq-lm":
-        tokens, i = _parse_listing(lines, i, "tokens")
+        tokens, i = _parse_listing(lines, i, "tokens", counted)
         config = SeqLmConfig(
             tokens=tuple(tokens),
             hidden_size=intval("hidden_size"),
@@ -113,8 +136,8 @@ def load_model(source):
         )
         model = SeqLmModel(config, rng=np.random.default_rng(0))
     else:
-        nonterminals, i = _parse_listing(lines, i, "nonterminals")
-        terminals, i = _parse_listing(lines, i, "terminals")
+        nonterminals, i = _parse_listing(lines, i, "nonterminals", counted)
+        terminals, i = _parse_listing(lines, i, "terminals", counted)
         config = TdtdConfig(
             nonterminals=tuple(nonterminals),
             terminals=tuple(terminals),
@@ -130,9 +153,8 @@ def load_model(source):
 
     if i >= len(lines) or lines[i].strip() != "[params]":
         raise ModelIoError(f"line {i + 1}: expected [params] section")
-    params_text = "\n".join(lines[i + 1 :]) + "\n"
     expect = {name: t.values.shape for name, t in model.store.items()}
-    loaded = ad.parse_params(params_text, expect_shapes=expect)
+    loaded = ad.parse_params(lines[i + 1 :], expect_shapes=expect)
     for name, tensor in model.store.items():
         tensor.values[...] = loaded[name].values
     return model

@@ -346,7 +346,17 @@ def train(kind, dataset, config, model_config=None, dev=None, checkpoint_dir=Non
                     f" (max |param| {norms[worst]:.3e} in {worst!r})"
                 )
             ad.backward(loss, model.store)
-            model.store.clip_grads(config.grad_clip)
+            grad_norm = model.store.clip_grads(config.grad_clip)
+            if not math.isfinite(grad_norm):
+                # checked before the step: a NaN norm clips nothing and the
+                # optimizer would write NaN into every parameter
+                norms = {n: float(np.abs(t.grad).max()) for n, t in model.store.items()
+                         if t.grad is not None and t.grad.size}
+                worst = max(norms, key=lambda n: math.inf if math.isnan(norms[n]) else norms[n])
+                raise TrainingError(
+                    f"non-finite gradient norm at epoch {epoch}, batch "
+                    f"{start // config.batch_size} (max |grad| {norms[worst]:.3e} in {worst!r})"
+                )
             optimizer.step(model.store)
             epoch_loss += value * len(batch)
             n_examples += len(batch)

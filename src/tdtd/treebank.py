@@ -104,20 +104,28 @@ class Tree:
     def __eq__(self, other):
         if not isinstance(other, Tree):
             return NotImplemented
-        return _nested(self, self.root) == _nested(other, other.root)
+        return _canonical(self) == _canonical(other)
 
     def __hash__(self):
-        return hash(repr(_nested(self, self.root)))
+        return hash(_canonical(self))
 
     def __repr__(self):
         return f"Tree({to_bracketed(self)!r})"
 
 
-def _nested(tree, i):
-    node = tree.nodes[i]
-    if node.terminal:
-        return node.label
-    return (node.label, tuple(_nested(tree, c) for c in node.children))
+def _canonical(tree):
+    """Pre-order (label, terminal, child count) per node: equal exactly when
+    the trees are, and built without recursion so deep trees compare too."""
+    out = []
+    stack = [tree.root]
+    while stack:
+        node = tree.nodes[stack.pop()]
+        if node.terminal:
+            out.append((node.label, True, 0))
+        else:
+            out.append((node.label, False, len(node.children)))
+            stack.extend(reversed(node.children))
+    return tuple(out)
 
 
 class TreeBuilder:

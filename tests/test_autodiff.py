@@ -1,3 +1,4 @@
+import base64
 import math
 
 import numpy as np
@@ -345,7 +346,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 def test_checkpoint_header_line():
     text = ad.format_params(_random_store(0))
-    assert text.splitlines()[0] == "TDTD-CKPT v1"
+    assert text.splitlines()[0] == "TDTD-CKPT v2"
     assert text.endswith("\n")
 
 
@@ -377,3 +378,119 @@ def test_checkpoint_malformed_reports_line():
     truncated = "\n".join(good.splitlines()[:3]) + "\n"
     with pytest.raises(ad.CheckpointError, match="unexpected end of file"):
         ad.parse_params(truncated)
+
+
+# bit patterns the float64 round trip must keep: -0.0, the smallest and the
+# largest subnormal, +-inf, a signalling NaN, the quiet NaN, a negative NaN
+# with a payload
+SPECIAL_BITS = np.array([0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF,
+                         0x7FF0000000000000, 0xFFF0000000000000, 0x7FF0000000000001,
+                         0x7FF8000000000000, 0xFFF8000000000ABC], dtype=np.uint64)
+
+
+def _special_store():
+    store = ad.ParamStore()
+    _param(store, "special", SPECIAL_BITS.view(np.float64).reshape(2, 4))
+    _param(store, "scalar", np.float64(-3.25))
+    _param(store, "empty", np.zeros((0, 3)))
+    _param(store, "plain", np.linspace(-1.0, 1.0, 7))
+    return store
+
+
+def _same_bits(a, b):
+    assert a.names() == b.names()
+    for name, t in a.items():
+        assert b[name].values.shape == t.values.shape, name
+        assert b[name].values.tobytes() == t.values.tobytes(), name
+
+
+def test_checkpoint_v2_special_values_bit_exact():
+    store = _special_store()
+    text = ad.format_params(store)
+    assert text == ad.format_params(store)
+    loaded = ad.parse_params(text)
+    _same_bits(store, loaded)
+    for _, t in loaded.items():
+        assert t.values.dtype == np.float64
+        assert t.values.flags.writeable and t.values.flags.owndata
+
+
+def test_checkpoint_v2_layout():
+    store = ad.ParamStore()
+    _param(store, "w", [[1.0, -0.0]])
+    assert ad.format_params(store) == "TDTD-CKPT v2\nw 2 1 2\nAAAAAAAA8D8AAAAAAAAAgA==\nend\n"
+    assert ad.parse_params(["TDTD-CKPT v2", "w 2 1 2", "AAAAAAAA8D8AAAAAAAAAgA==", "end"])[
+        "w"].values.tobytes() == store["w"].values.tobytes()
+
+
+# a v1 checkpoint as written before the base64 format, read by the v1 parser
+V1_CHECKPOINT = """\
+TDTD-CKPT v1
+w 2 2 3
+1 -0 2.5
+4.9406564584124654e-324 inf nan
+
+b 1 2
+0.10000000000000001 -7
+s 0
+-3.25
+"""
+
+
+def test_checkpoint_v1_still_read():
+    loaded = ad.parse_params(V1_CHECKPOINT, expect_shapes={"w": (2, 3), "b": (2,), "s": ()})
+    assert loaded.names() == ["w", "b", "s"]
+    expect_w = np.array([[1.0, -0.0, 2.5], [5e-324, math.inf, math.nan]])
+    assert loaded["w"].values.tobytes() == expect_w.tobytes()
+    assert loaded["b"].values.tobytes() == np.array([0.1, -7.0]).tobytes()
+    assert loaded["s"].values.shape == () and loaded["s"].values == -3.25
+    with pytest.raises(ad.CheckpointError, match="unexpected end of file in tensor 'b'"):
+        ad.parse_params(V1_CHECKPOINT.split("0.1")[0])
+
+
+def test_checkpoint_v2_faults_name_line_and_tensor():
+    good = ad.format_params(_random_store(4))
+    lines = good.splitlines()
+    beta_b64 = lines.index("beta 1 7") + 1
+
+    def fails(mutated_lines, pattern):
+        with pytest.raises(ad.CheckpointError, match=pattern):
+            ad.parse_params("\n".join(mutated_lines) + "\n")
+
+    bad = list(lines)
+    bad[beta_b64] = bad[beta_b64][:-4] + "*" + bad[beta_b64][-3:]
+    fails(bad, rf"line {beta_b64 + 1}: bad base64 in tensor 'beta'")
+    bad[beta_b64] = lines[beta_b64][:-4] + "é" + lines[beta_b64][-3:]
+    fails(bad, rf"line {beta_b64 + 1}: bad base64 in tensor 'beta'")
+    bad[beta_b64] = lines[beta_b64][:-12]
+    fails(bad, rf"line {beta_b64 + 1}: unexpected end of file in tensor 'beta'")
+    bad[beta_b64] = base64.b64encode(base64.b64decode(lines[beta_b64]) + bytes(8)).decode()
+    fails(bad, rf"line {beta_b64 + 1}: too many values for 'beta'")
+    fails(lines[:-1], "unexpected end of file, expected 'end'")
+    fails(lines + ["beta 1 7"], "unexpected text after 'end'")
+    fails(lines[:-1] + lines[beta_b64 - 1 : beta_b64 + 1] + ["end"], "duplicate tensor 'beta'")
+    for header in ("beta 1 x", "beta 1 -7", "beta 2 7"):
+        fails(lines[:beta_b64 - 1] + [header] + lines[beta_b64:], rf"line {beta_b64}: malformed")
+    expect = {"alpha": (3, 4), "beta": (7,)}
+    with pytest.raises(ad.CheckpointError, match="unexpected tensor 'gamma.delta'"):
+        ad.parse_params(good, expect_shapes=expect)
+
+
+def test_checkpoint_v2_cut_at_every_line_boundary():
+    lines = ad.format_params(_special_store()).splitlines()
+    for k in range(len(lines)):
+        with pytest.raises(ad.CheckpointError):
+            ad.parse_params("".join(line + "\n" for line in lines[:k]))
+    _same_bits(_special_store(), ad.parse_params("\n".join(lines)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_checkpoint_v2_corrupt_base64_char_rejected(data):
+    lines = ad.format_params(_random_store(5)).splitlines()
+    row = data.draw(st.sampled_from([i for i in range(2, len(lines) - 1, 2)]))
+    col = data.draw(st.integers(0, len(lines[row]) - 1))
+    char = data.draw(st.sampled_from(list("*!.-_ #\x00é\t")))
+    lines[row] = lines[row][:col] + char + lines[row][col + 1 :]
+    with pytest.raises(ad.CheckpointError, match=rf"line {row + 1}: bad base64"):
+        ad.parse_params("\n".join(lines) + "\n")

@@ -151,6 +151,14 @@ def test_generate_and_eval_nll(trained_run, capsys):
     assert payload["count"] == 25 and payload["fail_rate"] == 0.0
 
 
+def test_generate_rejects_count_below_one(trained_run, capsys):
+    status, summary, out = _run(
+        capsys, "generate", "--model-file", trained_run["out"] / "final.ckpt",
+        "--count", 0, "--seed", 9, "--out", trained_run["base"] / "none.txt")
+    assert status != 0
+    assert out == ["generate error=--count must be >= 1 FAIL"]
+
+
 def test_score_subcommand(trained_run, capsys):
     scores = trained_run["base"] / "scores.tsv"
     status, summary, _ = _run(

@@ -135,6 +135,29 @@ def test_unknown_kind_rejected(small_dataset):
         train("lstm", small_dataset, TrainConfig(seed=0))
 
 
+def test_non_finite_gradient_norm_stops_before_the_step(small_dataset, monkeypatch):
+    real_backward = ad.backward
+    seen = {}
+
+    def backward_with_nan(loss, store=None):
+        real_backward(loss, store)
+        name, tensor = next(iter(store.items()))
+        tensor.grad[...] = np.nan
+        seen["name"] = name
+        seen["values"] = {n: t.values.copy() for n, t in store.items()}
+        seen["store"] = store
+
+    monkeypatch.setattr(ad, "backward", backward_with_nan)
+    with pytest.raises(TrainingError,
+                       match=r"non-finite gradient norm at epoch 1, batch 0 \(max \|grad\| nan") as exc:
+        train("tdtd", small_dataset, TrainConfig(seed=4, epochs=1),
+              model_overrides=_small_overrides())
+    assert f"in {seen['name']!r})" in str(exc.value)
+    # the optimizer never ran on the NaN gradient
+    for name, t in seen["store"].items():
+        assert np.array_equal(t.values, seen["values"][name]), name
+
+
 def _checkpoint_bytes(model):
     return ad.format_params(model.store)
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdtd import treebank as tb
+from tdtd.metrics import bracket_f1
 from tdtd.pcfg import sample_tree
 
 EXAMPLE = "(S (NP (DT the) (NN cat)) (VP (VBD sat)))"
@@ -31,6 +32,28 @@ def test_parse_single_terminal():
 def test_parse_is_whitespace_insensitive():
     messy = "( S\t( NP ( DT the )\n( NN cat ) ) ( VP ( VBD sat ) ) )"
     assert tb.parse_bracketed(messy) == tb.parse_bracketed(EXAMPLE)
+
+
+def test_tree_equality_is_structural():
+    a = tb.parse_bracketed(EXAMPLE)
+    assert a == tb.parse_bracketed(EXAMPLE) and hash(a) == hash(tb.parse_bracketed(EXAMPLE))
+    assert a != tb.parse_bracketed("(S (NP (DT the) (NN cat)) (VP (VBD sit)))")
+    assert a != tb.parse_bracketed("(S (NP (DT the) (NN cat) (VP (VBD sat))))")
+    # a childless nonterminal is not the terminal with the same label
+    leaf = tb.TreeBuilder("S")
+    leaf.add_child(0, "x", terminal=False)
+    word = tb.TreeBuilder("S")
+    word.add_child(0, "x", terminal=True)
+    assert leaf.build() != word.build()
+
+
+def test_deep_unary_chain_survives_equality_hash_and_f1():
+    depth = 3000
+    text = "(A " * depth + "w" + ")" * depth
+    a, b = tb.parse_bracketed(text), tb.parse_bracketed(text)
+    assert a == b and hash(a) == hash(b)
+    assert a != tb.parse_bracketed("(A " * depth + "v" + ")" * depth)
+    assert bracket_f1(a, b).f1 == 1.0
 
 
 def test_parse_unbalanced_reports_end_offset():
