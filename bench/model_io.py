@@ -22,10 +22,14 @@ import sys
 import tempfile
 import time
 
-MODEL = os.path.join("benchmark", "models", "tdtd_h32.model")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MODEL = os.path.join(ROOT, "benchmark", "models", "tdtd_h32.model")
+OUT = os.path.join(ROOT, "BENCH_model_io.json")
+ROUNDS = 4  # per side, alternating
+REPEATS = 5  # save+load pairs per round
 
 
-def measure(src, model_path, repeats):
+def measure(src, model_path):
     """Per model: parameter count, file bytes and per-repeat save/load seconds."""
     sys.path.insert(0, os.path.join(src, "src"))
     import dataclasses
@@ -43,7 +47,7 @@ def measure(src, model_path, repeats):
         for name, model in (("tdtd_h32", h32), ("tdtd-p_h128", p128)):
             path = os.path.join(tmp, name)
             save_s, load_s = [], []
-            for _ in range(repeats):
+            for _ in range(REPEATS):
                 t0 = time.perf_counter()
                 save_model(model, path)
                 t1 = time.perf_counter()
@@ -59,12 +63,10 @@ def measure(src, model_path, repeats):
     return result
 
 
-def run_side(root, repeats):
+def run_side(root):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    model_path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), MODEL)
     out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--measure", root,
-         "--model", model_path, "--repeats", str(repeats)],
+        [sys.executable, os.path.abspath(__file__), "--measure", root, "--model", MODEL],
         env=env, check=True, capture_output=True, text=True,
     ).stdout
     return json.loads(out)
@@ -74,23 +76,20 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--before", help="root of the checkout measured as 'before'")
     ap.add_argument("--after", help="root of the checkout measured as 'after'")
-    ap.add_argument("--rounds", type=int, default=4)
-    ap.add_argument("--repeats", type=int, default=5, help="save+load pairs per round")
-    ap.add_argument("--out", default="BENCH_model_io.json")
     ap.add_argument("--measure", help=argparse.SUPPRESS)
     ap.add_argument("--model", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.measure:
-        json.dump(measure(args.measure, args.model, args.repeats), sys.stdout)
+        json.dump(measure(args.measure, args.model), sys.stdout)
         return 0
     if not (args.before and args.after):
         ap.error("--before and --after are required")
 
     sides = {"before": args.before, "after": args.after}
     samples = {}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
-            for name, m in run_side(sides[side], args.repeats).items():
+            for name, m in run_side(sides[side]).items():
                 entry = samples.setdefault(name, {}).setdefault(side, {
                     "params": m["params"], "file_bytes": m["file_bytes"],
                     "save_s": [], "load_s": []})
@@ -116,9 +115,8 @@ def main():
         models[name] = row
     report = {
         "topic": "model_io",
-        "command": "env OPENBLAS_NUM_THREADS=1 python3 bench/model_io.py "
-                   f"--before OLD --after NEW --rounds {args.rounds} --repeats {args.repeats}",
-        "samples_per_median": args.rounds * args.repeats,
+        "command": "env OPENBLAS_NUM_THREADS=1 python3 bench/model_io.py --before OLD --after NEW",
+        "samples_per_median": ROUNDS * REPEATS,
         "machine": {
             "cpu_count": os.cpu_count(),
             "machine": platform.machine(),
@@ -127,7 +125,7 @@ def main():
         },
         "models": models,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(json.dumps(models, indent=2))

@@ -784,23 +784,24 @@ def save_params(store, destination):
         fh.write(format_params(store))
 
 
-def parse_params(text, expect_shapes=None):
+def parse_params(text, expect_shapes=None, first_line=1):
     """Parse checkpoint text (a string, or a list of its lines) into a ParamStore.
 
     Reads the current `TDTD-CKPT v2` format and the older `TDTD-CKPT v1`
     (decimal values).  Malformed input raises CheckpointError naming the
-    line, and the tensor where there is one.  With `expect_shapes` (name ->
-    shape tuple), missing tensors, extra tensors and shape mismatches raise
-    CheckpointError naming the tensor.
+    line, and the tensor where there is one; `first_line` is the line number
+    of the text's first line, for a checkpoint embedded in a larger file.
+    With `expect_shapes` (name -> shape tuple), missing tensors, extra
+    tensors and shape mismatches raise CheckpointError naming the tensor.
     """
     lines = text.splitlines() if isinstance(text, str) else text
     magic = lines[0].strip() if lines else ""
     if magic == CHECKPOINT_MAGIC:
-        tensors = _read_tensors_v2(lines)
+        tensors = _read_tensors_v2(lines, first_line)
     elif magic == _CHECKPOINT_MAGIC_V1:
-        tensors = _read_tensors_v1(lines)
+        tensors = _read_tensors_v1(lines, first_line)
     else:
-        raise CheckpointError(f"line 1: expected header {CHECKPOINT_MAGIC!r}")
+        raise CheckpointError(f"line {first_line}: expected header {CHECKPOINT_MAGIC!r}")
     store = ParamStore()
     for lineno, name, shape, values in tensors:
         if name in store:
@@ -839,23 +840,24 @@ def _parse_tensor_header(header, lineno):
     return name, shape, count
 
 
-def _read_tensors_v2(lines):
+def _read_tensors_v2(lines, first_line):
     """Yield (header line number, name, shape, values) from base64 checkpoint lines."""
     n_lines = len(lines)
+    last = n_lines - 1 + first_line
     i = 1
     while True:
         if i >= n_lines:
             raise CheckpointError(
-                f"line {n_lines}: unexpected end of file, expected {_CHECKPOINT_END!r}"
+                f"line {last}: unexpected end of file, expected {_CHECKPOINT_END!r}"
             )
-        lineno = i + 1
+        lineno = i + first_line
         header = lines[i].split()
         if header == [_CHECKPOINT_END]:
             break
         name, shape, count = _parse_tensor_header(header, lineno)
         if i + 1 >= n_lines:
             raise CheckpointError(
-                f"line {n_lines}: unexpected end of file in tensor {name!r}"
+                f"line {last}: unexpected end of file in tensor {name!r}"
             )
         try:
             raw = base64.b64decode(lines[i + 1], validate=True)
@@ -877,20 +879,21 @@ def _read_tensors_v2(lines):
     for j in range(i + 1, n_lines):
         if lines[j].strip():
             raise CheckpointError(
-                f"line {j + 1}: unexpected text after {_CHECKPOINT_END!r}"
+                f"line {j + first_line}: unexpected text after {_CHECKPOINT_END!r}"
             )
 
 
-def _read_tensors_v1(lines):
+def _read_tensors_v1(lines, first_line):
     """Yield (header line number, name, shape, values) from decimal checkpoint lines."""
     i = 1
     n_lines = len(lines)
+    last = n_lines - 1 + first_line
     while i < n_lines:
         header = lines[i].split()
         if not header:
             i += 1
             continue
-        lineno = i + 1
+        lineno = i + first_line
         name, shape, count = _parse_tensor_header(header, lineno)
         values = np.empty(count)
         got = 0
@@ -898,16 +901,16 @@ def _read_tensors_v1(lines):
         while got < count:
             if i >= n_lines:
                 raise CheckpointError(
-                    f"line {n_lines}: unexpected end of file in tensor {name!r}"
+                    f"line {last}: unexpected end of file in tensor {name!r}"
                 )
             for tok in lines[i].split():
                 if got >= count:
-                    raise CheckpointError(f"line {i + 1}: too many values for {name!r}")
+                    raise CheckpointError(f"line {i + first_line}: too many values for {name!r}")
                 try:
                     values[got] = float(tok)
                 except ValueError:
                     raise CheckpointError(
-                        f"line {i + 1}: bad value {tok!r} in tensor {name!r}"
+                        f"line {i + first_line}: bad value {tok!r} in tensor {name!r}"
                     ) from None
                 got += 1
             i += 1

@@ -154,7 +154,7 @@ def load_model(source):
     if i >= len(lines) or lines[i].strip() != "[params]":
         raise ModelIoError(f"line {i + 1}: expected [params] section")
     expect = {name: t.values.shape for name, t in model.store.items()}
-    loaded = ad.parse_params(lines[i + 1 :], expect_shapes=expect)
+    loaded = ad.parse_params(lines[i + 1 :], expect_shapes=expect, first_line=i + 2)
     for name, tensor in model.store.items():
         tensor.values[...] = loaded[name].values
     return model

@@ -270,5 +270,16 @@ def test_model_corrupt_base64_char_rejected(tmp_path_factory, data):
     char = data.draw(st.sampled_from(list("*!.-_ #\x00é")))
     lines[row] = lines[row][:col] + char + lines[row][col + 1 :]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointError, match="bad base64"):
+    # the line number counts from the start of the model file
+    with pytest.raises(CheckpointError, match=rf"^line {row + 1}: bad base64 in tensor "):
+        load_model(path)
+
+
+def test_v1_model_fault_names_the_file_line(tmp_path):
+    path = tmp_path / "old.model"
+    lines = V1_MODEL.splitlines()
+    row = lines.index("rnn.bg 1 2") + 1
+    lines[row] = "0 zero"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError, match=rf"^line {row + 1}: bad value 'zero' in tensor 'rnn.bg'"):
         load_model(path)
