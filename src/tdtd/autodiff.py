@@ -2,9 +2,15 @@
 
 Every operation returns a Tensor that remembers its parent Tensors and a
 closure scattering the output gradient back onto them.  The op set is the
-minimum needed for GRU cells, attention and softmax heads: affine maps,
-elementwise sigmoid/tanh/add/mul, concatenation and slicing of vectors,
-embedding-row lookup, (log-)softmax, index picks and summation.
+minimum the models need:
+
+* the fused GRU step (GruCell.step) for every recurrence;
+* row-matrix forms for the output heads and attention, which score all of
+  a tree's decisions at once: affine and matmul over 1-d vectors or (P, n)
+  row matrices, concat along the last axis, stack_rows and take_rows;
+* last-axis (log-)softmax with an optional mask, and the reductions that
+  turn log-probabilities into a score: pick, gather_sum, add_scalars;
+* embed_row, neg and scale.
 
 Everything is float64.  backward() is iterative (no recursion limit) and
 deterministic: two runs over the same graph produce identical gradients.
@@ -94,18 +100,6 @@ class Tensor:
             raise AutodiffError("item(): tensor is not a scalar")
         return float(self.values.reshape(()))
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, grad={'set' if self.grad is not None else 'none'})"
 
@@ -120,54 +114,11 @@ def _check_vec(t, op):
         raise AutodiffError(f"{op}: expected 1-d vector, got shape {tuple(t.shape)}")
 
 
-def _same_shape(a, b, op):
-    if a.values.shape != b.values.shape:
-        raise AutodiffError(
-            f"{op}: shape mismatch {tuple(a.shape)} vs {tuple(b.shape)}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # elementwise and linear ops
-
-
-def add(a, b):
-    _same_shape(a, b, "add")
-    out = a.values + b.values
-    if not _grad_enabled:
-        return Tensor._wrap(out)
-
-    def bwd(g):
-        a.grad += g
-        b.grad += g
-
-    return Tensor._wrap(out, (a, b), bwd)
-
-
-def sub(a, b):
-    _same_shape(a, b, "sub")
-    out = a.values - b.values
-    if not _grad_enabled:
-        return Tensor._wrap(out)
-
-    def bwd(g):
-        a.grad += g
-        b.grad -= g
-
-    return Tensor._wrap(out, (a, b), bwd)
-
-
-def mul(a, b):
-    _same_shape(a, b, "mul")
-    out = a.values * b.values
-    if not _grad_enabled:
-        return Tensor._wrap(out)
-
-    def bwd(g):
-        a.grad += g * b.values
-        b.grad += g * a.values
-
-    return Tensor._wrap(out, (a, b), bwd)
+#
+# The linear ops take a 1-d vector or a row matrix (P, n) whose P rows are
+# independent inputs, so a whole tree's decisions go through one product.
 
 
 def neg(a):
@@ -194,131 +145,87 @@ def scale(a, c):
     return Tensor._wrap(out, (a,), bwd)
 
 
-def one_minus(a):
-    """1 - a, elementwise."""
-    out = 1.0 - a.values
-    if not _grad_enabled:
-        return Tensor._wrap(out)
-
-    def bwd(g):
-        a.grad -= g
-
-    return Tensor._wrap(out, (a,), bwd)
-
-
-def sigmoid(a):
-    # tanh form is stable for large |x|
-    out = 0.5 * (np.tanh(0.5 * a.values) + 1.0)
-    if not _grad_enabled:
-        return Tensor._wrap(out)
-
-    def bwd(g):
-        a.grad += g * out * (1.0 - out)
-
-    return Tensor._wrap(out, (a,), bwd)
-
-
-def tanh(a):
-    out = np.tanh(a.values)
-    if not _grad_enabled:
-        return Tensor._wrap(out)
-
-    def bwd(g):
-        a.grad += g * (1.0 - out * out)
-
-    return Tensor._wrap(out, (a,), bwd)
-
-
 def affine(x, w, b):
-    """x @ w + b for x (n,), w (n, m), b (m,)."""
-    _check_vec(x, "affine")
-    if w.values.ndim != 2 or x.values.shape[0] != w.values.shape[0]:
+    """x @ w + b for x (n,) or (P, n), w (n, m), b (m,)."""
+    xv, wv = x.values, w.values
+    if wv.ndim != 2 or xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[0]:
         raise AutodiffError(
             f"affine: x {tuple(x.shape)} incompatible with w {tuple(w.shape)}"
         )
-    if b.values.shape != (w.values.shape[1],):
+    if b.values.shape != (wv.shape[1],):
         raise AutodiffError(
             f"affine: b {tuple(b.shape)} incompatible with w {tuple(w.shape)}"
         )
-    out = x.values @ w.values + b.values
+    out = xv @ wv + b.values
     if not _grad_enabled:
         return Tensor._wrap(out)
 
-    def bwd(g):
-        x.grad += w.values @ g
-        w.grad += np.outer(x.values, g)
-        b.grad += g
+    if xv.ndim == 1:
+        def bwd(g):
+            x.grad += wv @ g
+            w.grad += np.outer(xv, g)
+            b.grad += g
+    else:
+        def bwd(g):
+            x.grad += g @ wv.T
+            w.grad += xv.T @ g
+            b.grad += g.sum(axis=0)
 
     return Tensor._wrap(out, (x, w, b), bwd)
 
 
-def matvec(m, v):
-    """m @ v for m (L, d), v (d,) -> (L,)."""
-    if m.values.ndim != 2 or v.values.ndim != 1 or m.values.shape[1] != v.values.shape[0]:
+def matmul(a, b, transpose_b=False):
+    """a @ b, or a @ b.T with transpose_b, for a (n,) or (P, n) and a 2-d b."""
+    av, bv = a.values, b.values
+    bm = bv.T if transpose_b else bv
+    if bv.ndim != 2 or av.ndim not in (1, 2) or av.shape[-1] != bm.shape[0]:
         raise AutodiffError(
-            f"matvec: m {tuple(m.shape)} incompatible with v {tuple(v.shape)}"
+            f"matmul: a {tuple(a.shape)} incompatible with b {tuple(b.shape)}"
+            + (" transposed" if transpose_b else "")
         )
-    out = m.values @ v.values
+    out = av @ bm
     if not _grad_enabled:
         return Tensor._wrap(out)
 
     def bwd(g):
-        m.grad += np.outer(g, v.values)
-        v.grad += m.values.T @ g
+        a.grad += g @ bm.T
+        gb = np.outer(av, g) if av.ndim == 1 else av.T @ g
+        b.grad += gb.T if transpose_b else gb
 
-    return Tensor._wrap(out, (m, v), bwd)
-
-
-def rows_weighted_sum(m, w):
-    """sum_j w[j] * m[j] for m (L, d), w (L,) -> (d,)."""
-    if m.values.ndim != 2 or w.values.ndim != 1 or m.values.shape[0] != w.values.shape[0]:
-        raise AutodiffError(
-            f"rows_weighted_sum: m {tuple(m.shape)} incompatible with w {tuple(w.shape)}"
-        )
-    out = m.values.T @ w.values
-    if not _grad_enabled:
-        return Tensor._wrap(out)
-
-    def bwd(g):
-        m.grad += np.outer(w.values, g)
-        w.grad += m.values @ g
-
-    return Tensor._wrap(out, (m, w), bwd)
+    return Tensor._wrap(out, (a, b), bwd)
 
 
 def concat(parts):
-    """Concatenate 1-d vectors."""
+    """Concatenate along the last axis: 1-d vectors, or row matrices with
+    equal row counts."""
     parts = tuple(parts)
+    nd = parts[0].values.ndim
+    ok = nd in (1, 2)
     for p in parts:
-        _check_vec(p, "concat")
-    out = np.concatenate([p.values for p in parts])
+        ok = ok and p.values.ndim == nd
+    if ok and nd == 2:
+        ok = len({p.values.shape[0] for p in parts}) == 1
+    if not ok:
+        raise AutodiffError(
+            f"concat: cannot join shapes {[tuple(q.shape) for q in parts]}"
+        )
+    out = np.concatenate([p.values for p in parts], -1)
     if not _grad_enabled:
         return Tensor._wrap(out)
-    sizes = [p.values.shape[0] for p in parts]
+    sizes = [p.values.shape[-1] for p in parts]
 
     def bwd(g):
         off = 0
         for p, n in zip(parts, sizes):
-            p.grad += g[off : off + n]
+            p.grad += g[off : off + n] if nd == 1 else g[:, off : off + n]
             off += n
 
     return Tensor._wrap(out, parts, bwd)
 
 
-def slice_vec(a, start, stop):
-    _check_vec(a, "slice_vec")
-    out = a.values[start:stop].copy()
-    if not _grad_enabled:
-        return Tensor._wrap(out)
-
-    def bwd(g):
-        a.grad[start:stop] += g
-
-    return Tensor._wrap(out, (a,), bwd)
-
-
 def stack_rows(rows):
-    """Stack 1-d vectors into a (L, d) matrix."""
+    """Stack 1-d vectors into a (L, d) matrix; a tensor may appear in
+    several rows."""
     rows = tuple(rows)
     for r in rows:
         _check_vec(r, "stack_rows")
@@ -331,6 +238,23 @@ def stack_rows(rows):
             r.grad += g[i]
 
     return Tensor._wrap(out, rows, bwd)
+
+
+def take_rows(a, index):
+    """Rows a[index] of a 2-d tensor, for a sequence of row indices."""
+    index = np.asarray(index, dtype=np.intp)
+    if a.values.ndim != 2 or index.ndim != 1:
+        raise AutodiffError("take_rows: expected a 2-d tensor and a 1-d index")
+    if index.size and not (0 <= index.min() and index.max() < a.values.shape[0]):
+        raise AutodiffError(f"take_rows: index out of range for {a.values.shape[0]} rows")
+    out = a.values[index]
+    if not _grad_enabled:
+        return Tensor._wrap(out)
+
+    def bwd(g):
+        np.add.at(a.grad, index, g)
+
+    return Tensor._wrap(out, (a,), bwd)
 
 
 def embed_row(table, index):
@@ -352,33 +276,61 @@ def embed_row(table, index):
 
 # ---------------------------------------------------------------------------
 # softmax family, picks, reductions
+#
+# Both softmaxes work over the last axis and take an optional boolean mask
+# of the input's shape: entries where it is True are excluded, so their
+# output is -inf (log_softmax) or 0 (softmax) and their gradient exactly 0.
 
 
-def log_softmax(a):
-    _check_vec(a, "log_softmax")
+def _masked(values, mask, op):
+    """(values with masked entries set to -inf, mask as a bool array)."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != values.shape:
+        raise AutodiffError(
+            f"{op}: mask shape {mask.shape} differs from input {values.shape}"
+        )
+    return np.where(mask, -np.inf, values), mask
+
+
+def _log_softmax(x):
+    """Log-softmax values over the last axis of a numpy array; -inf entries
+    stay -inf.  Also the graph-free heads' normaliser."""
+    if x.ndim == 1:
+        shifted = x - x.max()
+        return shifted - math.log(np.exp(shifted).sum())
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def log_softmax(a, mask=None):
     x = a.values
-    m = x.max()
-    shifted = x - m
-    out = shifted - math.log(np.exp(shifted).sum())
+    if mask is not None:
+        x, mask = _masked(x, mask, "log_softmax")
+    out = _log_softmax(x)
     if not _grad_enabled:
         return Tensor._wrap(out)
 
     def bwd(g):
-        a.grad += g - np.exp(out) * g.sum()
+        if mask is not None:
+            g = np.where(mask, 0.0, g)
+        a.grad += g - np.exp(out) * g.sum(axis=-1, keepdims=True)
 
     return Tensor._wrap(out, (a,), bwd)
 
 
-def softmax(a):
-    _check_vec(a, "softmax")
+def softmax(a, mask=None):
     x = a.values
-    e = np.exp(x - x.max())
-    out = e / e.sum()
+    if mask is not None:
+        x, mask = _masked(x, mask, "softmax")
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
     if not _grad_enabled:
         return Tensor._wrap(out)
 
     def bwd(g):
-        a.grad += out * (g - (g * out).sum())
+        if mask is not None:
+            g = np.where(mask, 0.0, g)
+        a.grad += out * (g - (g * out).sum(axis=-1, keepdims=True))
 
     return Tensor._wrap(out, (a,), bwd)
 
@@ -399,29 +351,22 @@ def pick(a, index):
     return Tensor._wrap(out, (a,), bwd)
 
 
-def nll_pick(log_probs, index):
-    """Scalar -log_probs[index]: the negative-log-likelihood pick."""
-    _check_vec(log_probs, "nll_pick")
-    index = int(index)
-    if not 0 <= index < log_probs.values.shape[0]:
-        raise AutodiffError(f"nll_pick: index {index} out of range")
-    out = np.asarray(-log_probs.values[index])
+def gather_sum(a, rows, cols):
+    """Scalar sum over k of a[rows[k], cols[k]], for a 2-d tensor."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    if a.values.ndim != 2 or rows.ndim != 1 or rows.shape != cols.shape:
+        raise AutodiffError("gather_sum: expected a 2-d tensor and equal-length 1-d indices")
+    n_rows, n_cols = a.values.shape
+    if rows.size and not (0 <= rows.min() and rows.max() < n_rows
+                          and 0 <= cols.min() and cols.max() < n_cols):
+        raise AutodiffError(f"gather_sum: index out of range for shape {a.values.shape}")
+    out = np.asarray(a.values[rows, cols].sum())
     if not _grad_enabled:
         return Tensor._wrap(out)
 
     def bwd(g):
-        log_probs.grad[index] -= g
-
-    return Tensor._wrap(out, (log_probs,), bwd)
-
-
-def sum_all(a):
-    out = np.asarray(a.values.sum())
-    if not _grad_enabled:
-        return Tensor._wrap(out)
-
-    def bwd(g):
-        a.grad += g
+        np.add.at(a.grad, (rows, cols), g)
 
     return Tensor._wrap(out, (a,), bwd)
 
@@ -502,6 +447,11 @@ def init_uniform(rng, shape, fan_in):
     return (rng.random(shape) * 2.0 - 1.0) * bound
 
 
+# passed as a model's rng when every value will be overwritten, so that
+# building it draws no random initialisation
+_NO_INIT = object()
+
+
 class ParamStore:
     """Named registry of parameter tensors; each tensor registered once."""
 
@@ -519,9 +469,13 @@ class ParamStore:
         return tensor
 
     def param(self, name, shape, rng=None, fan_in=None, zero=False):
-        """Create, register and return a new parameter tensor."""
+        """Create, register and return a new parameter tensor.
+
+        Without an rng (or with `zero`, or with _NO_INIT for a model whose
+        values are about to be read from a file) the values are zeros.
+        """
         shape = tuple(shape)
-        if zero or rng is None:
+        if zero or rng is None or rng is _NO_INIT:
             values = np.zeros(shape)
         else:
             if fan_in is None:
@@ -543,10 +497,6 @@ class ParamStore:
 
     def items(self):
         return self._entries.items()
-
-    def zero_grads(self):
-        for t in self._entries.values():
-            t.grad = np.zeros_like(t.values)
 
     def clear_grads(self):
         for t in self._entries.values():

@@ -17,6 +17,14 @@ distribution over {STOP} + terminals + nonterminals is properly normalized.
 STOP is masked out at the first child position (a nonterminal must dominate
 at least one child), in scoring and generation alike.
 
+Under teacher forcing every decision's inputs are known once the three
+recurrences have run, so tree_log_prob loops only over the recurrences and
+then scores all of the tree's decisions at once: the gate, the nonterminal
+head and the terminal head each run as one row-matrix product over the
+stacked features, followed by a masked row log-softmax and one gather.
+Generation, predict_node and scheduled sampling evaluate the heads one step
+at a time with numpy (_predict), building no graph.
+
 tree_log_prob is the pure model distribution: depth / children / width caps
 constrain sampling only.  generate() records the model log-prob of every
 decision it takes, so the recorded sum equals tree_log_prob of the result
@@ -239,79 +247,30 @@ def gen_step(model, prev_state, symbol_id):
 # prediction
 
 
-class _Prediction:
-    """Graph-level pieces of one prediction step."""
+def _predict(model, feats, allow_stop=True, force_terminal=False):
+    """Graph-free heads for one feature vector [u; ancestor; parent (; context)].
 
-    __slots__ = ("gate_nt", "gate_term", "gate_stop", "nt_logp", "term_logp")
-
-    def __init__(self, gate_nt, gate_term, gate_stop, nt_logp, term_logp):
-        self.gate_nt = gate_nt
-        self.gate_term = gate_term
-        self.gate_stop = gate_stop
-        self.nt_logp = nt_logp
-        self.term_logp = term_logp
-
-    def log_prob_nt(self, nt_index):
-        if self.gate_nt is None:
-            raise DecoderError("nonterminal class is masked here")
-        return ad.add(self.gate_nt, ad.pick(self.nt_logp, nt_index))
-
-    def log_prob_term(self, term_index):
-        return ad.add(self.gate_term, ad.pick(self.term_logp, term_index))
-
-    def log_prob_stop(self):
-        if self.gate_stop is None:
-            raise DecoderError("STOP is masked here")
-        return self.gate_stop
-
-    def argmax_symbol(self):
-        """Greedy (class, index) over the masked outcome space."""
-        best = None
-        if self.gate_nt is not None:
-            j = int(np.argmax(self.nt_logp.values))
-            best = (float(self.gate_nt.values) + float(self.nt_logp.values[j]),
-                    CLASS_NT, j)
-        j = int(np.argmax(self.term_logp.values))
-        cand = (float(self.gate_term.values) + float(self.term_logp.values[j]),
-                CLASS_TERM, j)
-        if best is None or cand > best:
-            best = cand
-        if self.gate_stop is not None:
-            cand = (float(self.gate_stop.values), CLASS_STOP, -1)
-            if cand > best:
-                best = cand
-        return best[1], best[2]
+    Returns (gate, nonterminal, terminal) log-probability arrays; masked gate
+    classes (STOP when not allow_stop, the nonterminal class when
+    force_terminal) are -inf and the gate is renormalized over the rest.
+    """
+    gate = feats @ model.w_gate.values + model.b_gate.values
+    if not allow_stop:
+        gate[CLASS_STOP] = -math.inf
+    if force_terminal:
+        gate[CLASS_NT] = -math.inf
+    return (
+        ad._log_softmax(gate),
+        ad._log_softmax(feats @ model.w_nt.values + model.b_nt.values),
+        ad._log_softmax(feats @ model.w_term.values + model.b_term.values),
+    )
 
 
-def _predict(model, u, ancestor, parent_state, extra=None,
-             allow_stop=True, force_terminal=False):
-    parts = [u, ancestor, parent_state]
+def _features(u, ancestor, parent_state, extra=None):
+    parts = [u.values, ancestor.values, parent_state.values]
     if extra is not None:
-        parts.append(extra)
-    feats = ad.concat(parts)
-    gate_logits = ad.affine(feats, model.w_gate, model.b_gate)
-    if force_terminal and not allow_stop:
-        gate_nt = None
-        gate_term = ad.const(0.0)  # the only class left: log 1
-        gate_stop = None
-    elif force_terminal:
-        lp = ad.log_softmax(ad.slice_vec(gate_logits, 1, 3))
-        gate_nt = None
-        gate_term = ad.pick(lp, 0)
-        gate_stop = ad.pick(lp, 1)
-    elif not allow_stop:
-        lp = ad.log_softmax(ad.slice_vec(gate_logits, 0, 2))
-        gate_nt = ad.pick(lp, 0)
-        gate_term = ad.pick(lp, 1)
-        gate_stop = None
-    else:
-        lp = ad.log_softmax(gate_logits)
-        gate_nt = ad.pick(lp, 0)
-        gate_term = ad.pick(lp, 1)
-        gate_stop = ad.pick(lp, 2)
-    nt_logp = ad.log_softmax(ad.affine(feats, model.w_nt, model.b_nt))
-    term_logp = ad.log_softmax(ad.affine(feats, model.w_term, model.b_term))
-    return _Prediction(gate_nt, gate_term, gate_stop, nt_logp, term_logp)
+        parts.append(extra.values)
+    return np.concatenate(parts)
 
 
 @dataclass
@@ -350,20 +309,10 @@ def predict_node(model, u, ancestor, parent_state, extra=None,
     `allow_stop=False` masks STOP (first child position).  The gate is
     renormalized over the remaining classes.
     """
-    with ad.no_grad():
-        p = _predict(model, u, ancestor, parent_state, extra,
-                     allow_stop=allow_stop, force_terminal=force_terminal)
-    gate = np.zeros(3)
-    if p.gate_nt is not None:
-        gate[CLASS_NT] = math.exp(float(p.gate_nt.values))
-    gate[CLASS_TERM] = math.exp(float(p.gate_term.values))
-    if p.gate_stop is not None:
-        gate[CLASS_STOP] = math.exp(float(p.gate_stop.values))
-    return NodeDistribution(
-        gate=gate,
-        nonterminal=np.exp(p.nt_logp.values),
-        terminal=np.exp(p.term_logp.values),
-    )
+    gate, nt, term = _predict(model, _features(u, ancestor, parent_state, extra),
+                              allow_stop=allow_stop, force_terminal=force_terminal)
+    return NodeDistribution(gate=np.exp(gate), nonterminal=np.exp(nt),
+                            terminal=np.exp(term))
 
 
 # ---------------------------------------------------------------------------
@@ -371,29 +320,26 @@ def predict_node(model, u, ancestor, parent_state, extra=None,
 
 
 class _ScheduledSampler:
-    """Replaces consumed emission-GRU inputs with greedy model predictions
-    with probability 1 - teacher_forcing_prob.  Targets and tree topology
-    are never touched."""
+    """Replaces consumed inputs with greedy model predictions with
+    probability 1 - teacher_forcing_prob.  Targets and tree topology are
+    never touched."""
 
     def __init__(self, rng, teacher_forcing_prob):
         self.rng = rng
         self.p = teacher_forcing_prob
 
-    def consumed_symbol(self, model, prediction, gold_symbol_id):
-        if self.rng.random() < self.p:
-            return gold_symbol_id
-        cls, idx = prediction.argmax_symbol()
-        if cls == CLASS_STOP:
-            return STOP_ID
-        if cls == CLASS_NT:
-            return model._nt_base + idx
-        return model._term_base + idx
+    def consumed(self, gold, greedy):
+        """`gold`, or `greedy()` with probability 1 - p; one draw per call."""
+        return gold if self.rng.random() < self.p else greedy()
 
 
 def _score_tree(model, tree, conditioning=None, sampler=None, exclude_root=False):
     """Teacher-forced log-probability as a scalar graph tensor.
 
-    `conditioning`, when given, supplies per-prediction extra context and a
+    The loop runs only the three recurrences and records each decision's
+    inputs; the heads then score every decision of the tree at once, as
+    row-matrix ops over the stacked features.  `conditioning`, when given,
+    supplies the attention context of every decision (in one call) and a
     root input (used by the conditional variant).  `sampler` optionally
     applies scheduled sampling to emission-GRU inputs.
     """
@@ -404,6 +350,25 @@ def _score_tree(model, tree, conditioning=None, sampler=None, exclude_root=False
     if not exclude_root:
         root_input = conditioning.root_input() if conditioning is not None else None
         terms.append(ad.pick(model.root_log_probs(root_input), root_nt))
+
+    # one entry per decision (each child, then the parent's STOP)
+    us, ancestors_at, parents_at = [], [], []
+    first_child = []  # STOP is masked at a parent's first child
+    gold_class = []
+    nt_rows, nt_gold, term_rows, term_gold = [], [], [], []
+
+    def greedy(u, ancestor, parent_state, allow_stop):
+        """The symbol the heads rank first at this step, built without a graph."""
+        extra = None
+        if conditioning is not None:
+            with ad.no_grad():
+                extra = conditioning.attend(u, parent_state)
+        heads = _predict(model, _features(u, ancestor, parent_state, extra),
+                         allow_stop=allow_stop)
+        cls, idx = _draw(heads, None, greedy=True, force_terminal=False, force_stop=False)
+        if cls == CLASS_STOP:
+            return STOP_ID
+        return (model._nt_base if cls == CLASS_NT else model._term_base) + idx
 
     prev_states = None
     prev_ancestors = None
@@ -439,41 +404,52 @@ def _score_tree(model, tree, conditioning=None, sampler=None, exclude_root=False
                     raise DecoderError(
                         f"cannot score node {i}: nonterminal without children"
                     )
-                for j, c in enumerate(children):
-                    pred = _predict(
-                        model, u, ancestor, parent_state,
-                        extra=conditioning.attend(u, parent_state)
-                        if conditioning is not None else None,
-                        allow_stop=j > 0,
-                    )
-                    child = tree.nodes[c]
-                    if child.terminal:
-                        terms.append(pred.log_prob_term(model.term_index(child.label)))
-                        gold_sym = model._term_base + model.term_index(child.label)
+                for j, c in enumerate(children + [None]):
+                    row = len(us)
+                    us.append(u)
+                    ancestors_at.append(ancestor)
+                    parents_at.append(parent_state)
+                    first_child.append(j == 0)
+                    if c is None:
+                        gold_class.append(CLASS_STOP)
+                        gold_sym = STOP_ID
+                    elif tree.nodes[c].terminal:
+                        k = model.term_index(tree.nodes[c].label)
+                        gold_class.append(CLASS_TERM)
+                        term_rows.append(row)
+                        term_gold.append(k)
+                        gold_sym = model._term_base + k
                     else:
-                        terms.append(pred.log_prob_nt(model.nt_index(child.label)))
-                        gold_sym = model._nt_base + model.nt_index(child.label)
-                    consumed = (
-                        sampler.consumed_symbol(model, pred, gold_sym)
-                        if sampler is not None else gold_sym
-                    )
+                        k = model.nt_index(tree.nodes[c].label)
+                        gold_class.append(CLASS_NT)
+                        nt_rows.append(row)
+                        nt_gold.append(k)
+                        gold_sym = model._nt_base + k
+                    consumed = gold_sym if sampler is None else sampler.consumed(
+                        gold_sym, lambda: greedy(u, ancestor, parent_state, j > 0))
                     u = gen_step(model, u, consumed)
-                pred = _predict(
-                    model, u, ancestor, parent_state,
-                    extra=conditioning.attend(u, parent_state)
-                    if conditioning is not None else None,
-                    allow_stop=True,
-                )
-                terms.append(pred.log_prob_stop())
-                consumed = (
-                    sampler.consumed_symbol(model, pred, STOP_ID)
-                    if sampler is not None else STOP_ID
-                )
-                u = gen_step(model, u, consumed)
 
         prev_states = states
         prev_ancestors = ancestors
         prev_positions = {i: pos for pos, i in enumerate(layer)}
+
+    if us:
+        u_rows = ad.stack_rows(us)
+        parent_rows = ad.stack_rows(parents_at)
+        parts = [u_rows, ad.stack_rows(ancestors_at), parent_rows]
+        if conditioning is not None:
+            parts.append(conditioning.attend(u_rows, parent_rows))
+        feats = ad.concat(parts)
+        n = len(us)
+        stop_mask = np.zeros((n, 3), dtype=bool)
+        stop_mask[:, CLASS_STOP] = first_child
+        gate = ad.log_softmax(ad.affine(feats, model.w_gate, model.b_gate), mask=stop_mask)
+        terms.append(ad.gather_sum(gate, np.arange(n), gold_class))
+        for rows, gold, w, b in ((nt_rows, nt_gold, model.w_nt, model.b_nt),
+                                 (term_rows, term_gold, model.w_term, model.b_term)):
+            if rows:
+                lp = ad.log_softmax(ad.affine(ad.take_rows(feats, rows), w, b))
+                terms.append(ad.gather_sum(lp, np.arange(len(rows)), gold))
     return ad.add_scalars(terms)
 
 
@@ -543,25 +519,25 @@ def generate_scored(model, rng=None, greedy=False, root_label=None,
                 n_children = 0
                 while True:
                     allowance = max_layer_width - len(next_syms) - groups_left
-                    pred = _predict(
-                        model, u, ancestors[pos], states[pos],
+                    gate, nt_logp, term_logp = heads = _predict(
+                        model, _features(u, ancestors[pos], states[pos]),
                         allow_stop=n_children > 0,
                     )
                     force_stop = n_children >= max_children or n_children >= allowance
-                    cls, idx = _draw(pred, rng, greedy,
+                    cls, idx = _draw(heads, rng, greedy,
                                      force_terminal=force_terminal_layer,
                                      force_stop=force_stop)
                     if cls == CLASS_STOP:
-                        total += float(pred.gate_stop.values)
+                        total += float(gate[CLASS_STOP])
                         u = gen_step(model, u, STOP_ID)
                         break
                     if cls == CLASS_NT:
-                        total += float(pred.gate_nt.values) + float(pred.nt_logp.values[idx])
+                        total += float(gate[CLASS_NT]) + float(nt_logp[idx])
                         label = cfg.nonterminals[idx]
                         sym = model._nt_base + idx
                         terminal = False
                     else:
-                        total += float(pred.gate_term.values) + float(pred.term_logp.values[idx])
+                        total += float(gate[CLASS_TERM]) + float(term_logp[idx])
                         label = cfg.terminals[idx]
                         sym = model._term_base + idx
                         terminal = True
@@ -600,31 +576,32 @@ def _sample_categorical(probs, rng):
     return len(probs) - 1
 
 
-def _draw(pred, rng, greedy, force_terminal, force_stop):
-    """Pick (class, index) from a prediction under the generation rails."""
+def _draw(heads, rng, greedy, force_terminal, force_stop):
+    """Pick (class, index) from _predict's heads under the generation rails.
+
+    `force_terminal` excludes the nonterminal class without renormalizing
+    the recorded log-probs; greedy ties go to the earlier class and index.
+    """
     if force_stop:
         return CLASS_STOP, -1
-    gate = []
-    if pred.gate_nt is not None and not force_terminal:
-        gate.append((CLASS_NT, math.exp(float(pred.gate_nt.values))))
-    gate.append((CLASS_TERM, math.exp(float(pred.gate_term.values))))
-    if pred.gate_stop is not None:
-        gate.append((CLASS_STOP, math.exp(float(pred.gate_stop.values))))
+    gate_lp, nt_logp, term_logp = heads
+    gate = [c for c in (CLASS_NT, CLASS_TERM, CLASS_STOP)
+            if gate_lp[c] != -math.inf and not (force_terminal and c == CLASS_NT)]
     if greedy:
         best = None
-        for cls, gp in gate:
+        for cls in gate:
             if cls == CLASS_STOP:
-                score, idx = math.log(gp), -1
+                score, idx = gate_lp[cls], -1
             else:
-                logp = pred.nt_logp if cls == CLASS_NT else pred.term_logp
-                idx = int(np.argmax(logp.values))
-                score = math.log(gp) + float(logp.values[idx])
+                logp = nt_logp if cls == CLASS_NT else term_logp
+                idx = int(np.argmax(logp))
+                score = gate_lp[cls] + logp[idx]
             if best is None or score > best[0]:
                 best = (score, cls, idx)
         return best[1], best[2]
-    weights = np.array([gp for _, gp in gate])
-    cls = gate[_sample_categorical(weights, rng)][0]
+    weights = np.array([math.exp(gate_lp[c]) for c in gate])
+    cls = gate[_sample_categorical(weights, rng)]
     if cls == CLASS_STOP:
         return CLASS_STOP, -1
-    logp = pred.nt_logp if cls == CLASS_NT else pred.term_logp
-    return cls, _sample_categorical(np.exp(logp.values), rng)
+    logp = nt_logp if cls == CLASS_NT else term_logp
+    return cls, _sample_categorical(np.exp(logp), rng)

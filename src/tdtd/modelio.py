@@ -21,8 +21,6 @@ such as `[` ended a v1 listing early.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
 from .decoder import TdtdConfig, TdtdModel
 from .parser import TdtdParserModel
@@ -134,7 +132,7 @@ def load_model(source):
             embed_size=intval("embed_size"),
             max_length=intval("max_length"),
         )
-        model = SeqLmModel(config, rng=np.random.default_rng(0))
+        model = SeqLmModel(config, rng=ad._NO_INIT)
     else:
         nonterminals, i = _parse_listing(lines, i, "nonterminals", counted)
         terminals, i = _parse_listing(lines, i, "terminals", counted)
@@ -149,7 +147,7 @@ def load_model(source):
             scaled_attention=bool(intval("scaled_attention")),
         )
         cls = TdtdParserModel if kind == "tdtd-p" else TdtdModel
-        model = cls(config, rng=np.random.default_rng(0))
+        model = cls(config, rng=ad._NO_INIT)
 
     if i >= len(lines) or lines[i].strip() != "[params]":
         raise ModelIoError(f"line {i + 1}: expected [params] section")

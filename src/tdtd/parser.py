@@ -2,7 +2,9 @@
 
 The decoder is reused unchanged; conditioning adds a bidirectional GRU
 sentence encoder, a projected-query dot-product attention over the encoded
-tokens at every prediction step, and a sentence-summary root input.  The
+tokens at every prediction step, and a sentence-summary root input.  When a
+tree is scored, the attention of all its prediction steps runs as one
+(P, 2h) x (2h, L) score matrix, one row softmax and one weighted sum.  The
 model is a scorer/reranker only: it never decodes a tree for a sentence
 directly (a breadth-first decoder cannot be forced to match the leaves).
 """
@@ -62,7 +64,7 @@ class SentenceEncoding:
 
     token_states: list  # one (2*hidden,) tensor per token
     summary: object  # (2*hidden,) tensor
-    matrix: object = field(default=None)  # stacked token states, built lazily
+    matrix: object = field(default=None)  # stacked token states
 
     def stacked(self):
         if self.matrix is None:
@@ -87,7 +89,11 @@ def encode_sentence(model, tokens):
         bwd[i] = h
     states = [ad.concat((f, b)) for f, b in zip(fwd, bwd)]
     summary = ad.concat((fwd[-1], bwd[0]))
-    return SentenceEncoding(token_states=states, summary=summary)
+    # stacked here, in the caller's graph mode: a first call to stacked()
+    # under no_grad (a scheduled-sampling step) would cache a matrix
+    # without the links that carry gradient back to the encoder
+    return SentenceEncoding(token_states=states, summary=summary,
+                            matrix=ad.stack_rows(states))
 
 
 def attend(model, u, parent_state, enc: SentenceEncoding):
@@ -95,15 +101,17 @@ def attend(model, u, parent_state, enc: SentenceEncoding):
 
     The query [u; parent_state] is projected to the encoder width; scores
     are scaled by 1/sqrt(width) unless config.scaled_attention is off.
-    Returns (context, weights).
+    `u` and `parent_state` are one step's vectors, or (P, h) and (P, 2h)
+    row matrices holding P steps, which are attended in one pass.
+    Returns (context, weights): (2h,) and (L,), or (P, 2h) and (P, L).
     """
     query = ad.affine(ad.concat((u, parent_state)), model.w_query, model.b_query)
     matrix = enc.stacked()
-    scores = ad.matvec(matrix, query)
+    scores = ad.matmul(query, matrix, transpose_b=True)
     if model.config.scaled_attention:
         scores = ad.scale(scores, 1.0 / math.sqrt(2 * model.config.hidden_size))
     weights = ad.softmax(scores)
-    return ad.rows_weighted_sum(matrix, weights), weights
+    return ad.matmul(weights, matrix), weights
 
 
 class _Conditioning:
@@ -118,8 +126,10 @@ class _Conditioning:
         return ad.affine(self.enc.summary, self.model.w_summary, self.model.b_summary)
 
     def attend(self, u, parent_state):
+        """Attention context for one step or for stacked (P, .) rows."""
         if self.attention_mode == "zero":
-            return ad.const(np.zeros(2 * self.model.config.hidden_size))
+            width = 2 * self.model.config.hidden_size
+            return ad.const(np.zeros(u.values.shape[:-1] + (width,)))
         context, _ = attend(self.model, u, parent_state, self.enc)
         return context
 

@@ -79,22 +79,24 @@ class SeqLmModel:
 def sequence_log_prob(model, tokens, sampler=None):
     """Teacher-forced log p(tokens, EOS | BOS) as a scalar graph tensor.
 
+    The loop runs only the GRU; the output head then scores every position
+    at once, as one (T, h) x (h, V) product, a row log-softmax and a gather.
     With a `sampler` (scheduled sampling), consumed inputs may be replaced
     by greedy predictions; the scored targets are always the gold tokens.
     """
-    ids = [model.token_id(t) for t in tokens]
-    terms = []
+    targets = [model.token_id(t) for t in tokens] + [EOS_ID]
+    states = []
     state = model.rnn_init
     prev = BOS_ID
-    for target in ids + [EOS_ID]:
+    for target in targets:
         state = model.rnn.step(ad.embed_row(model.emb, prev), state)
-        log_probs = model.step_log_probs(state)
-        terms.append(ad.pick(log_probs, target))
-        if sampler is not None and sampler.rng.random() >= sampler.p:
-            prev = int(np.argmax(log_probs.values))
-        else:
-            prev = target
-    return ad.add_scalars(terms)
+        states.append(state)
+        prev = target
+        if sampler is not None:
+            prev = sampler.consumed(target, lambda: int(np.argmax(
+                state.values @ model.w_out.values + model.b_out.values)))
+    log_probs = ad.log_softmax(ad.affine(ad.stack_rows(states), model.w_out, model.b_out))
+    return ad.gather_sum(log_probs, np.arange(len(targets)), targets)
 
 
 def sample_sequence_scored(model, rng=None, max_length=None, greedy=False):

@@ -4,8 +4,8 @@ Independent oracle for the normalization tests: walk every decision path of
 the breadth-first process, accumulating the mass of decision prefixes that
 would violate the depth / children-per-node / layer-width caps, and
 collecting every completable tree within the caps.  Per-step distributions
-come from the model's own prediction pieces; tree masses are cross-checked
-against tree_log_prob by the callers.
+come from the per-step reference heads (per_step.predict); tree masses are
+cross-checked against tree_log_prob by the callers.
 """
 import math
 from dataclasses import dataclass
@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from tdtd import autodiff as ad
-from tdtd.decoder import (CLASS_NT, CLASS_STOP, CLASS_TERM, LSTART_ID,
-                          STOP_ID, LayerContext, _predict, depth_step,
+from tdtd.decoder import (LSTART_ID, STOP_ID, LayerContext, depth_step,
                           encode_layer, gen_step)
 from tdtd.treebank import Tree, TreeNode
+
+from per_step import predict
 
 
 @dataclass
@@ -119,8 +120,8 @@ def _expand_layer(model, result, layers, layer_syms, states, ancestors, depth,
         groups_left = len(parents) - k - 1
 
         def recurse_position(j, u, emitted, p):
-            pred = _predict(model, u, ancestors[pos], states[pos],
-                            allow_stop=j > 0)
+            pred = predict(model, u, ancestors[pos], states[pos],
+                           allow_stop=j > 0)
             allowance = max_layer_width - len(emitted) - groups_left
             if j >= max_children or j >= allowance:
                 # rails would force STOP: everything else is violating mass

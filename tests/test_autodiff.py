@@ -15,6 +15,26 @@ def _param(store, name, values):
     return t
 
 
+# test-local graph ops in plain numpy: a smooth nonlinearity and a full sum,
+# to turn any tensor into a scalar loss without ops the program does not use
+
+
+def _tanh(a):
+    out = np.tanh(a.values)
+
+    def bwd(g):
+        a.grad += g * (1.0 - out * out)
+
+    return ad.Tensor._wrap(out, (a,), bwd)
+
+
+def _sum(a):
+    def bwd(g):
+        a.grad += g
+
+    return ad.Tensor._wrap(np.asarray(a.values.sum()), (a,), bwd)
+
+
 # ---------------------------------------------------------------------------
 # forward fixtures
 
@@ -26,22 +46,11 @@ def test_affine_identity():
     assert np.array_equal(ad.affine(x, w, b).values, [1.0, 2.0])
 
 
-def test_sigmoid_at_zero():
-    assert ad.sigmoid(ad.Tensor([0.0])).values[0] == pytest.approx(0.5, abs=1e-15)
-
-
-def test_tanh_gradient_at_zero_is_one():
-    x = ad.Tensor(np.zeros(4))
-    loss = ad.sum_all(ad.tanh(x))
-    ad.backward(loss)
-    assert np.allclose(x.grad, np.ones(4), atol=1e-15)
-
-
 def test_shape_mismatch_names_operation():
     with pytest.raises(ad.AutodiffError, match="affine"):
         ad.affine(ad.Tensor([1.0, 2.0, 3.0]), ad.Tensor(np.eye(2)), ad.Tensor([0.0, 0.0]))
-    with pytest.raises(ad.AutodiffError, match="mul"):
-        ad.mul(ad.Tensor([1.0]), ad.Tensor([1.0, 2.0]))
+    with pytest.raises(ad.AutodiffError, match="matmul"):
+        ad.matmul(ad.Tensor([1.0]), ad.Tensor(np.eye(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -49,23 +58,26 @@ def test_shape_mismatch_names_operation():
 
 
 def test_product_rule():
-    x = ad.Tensor([3.0])
-    y = ad.Tensor([4.0])
-    loss = ad.sum_all(ad.mul(x, y))
+    x = ad.Tensor([[3.0]])
+    y = ad.Tensor([[4.0]])
+    loss = ad.gather_sum(ad.matmul(x, y), [0], [0])
     ad.backward(loss)
-    assert x.grad[0] == 4.0 and y.grad[0] == 3.0
+    assert x.grad[0, 0] == 4.0 and y.grad[0, 0] == 3.0
 
 
 def test_sum_gradient_all_ones():
     x = ad.Tensor(np.arange(6, dtype=float).reshape(2, 3))
-    ad.backward(ad.sum_all(x))
+    rows, cols = np.divmod(np.arange(6), 3)
+    loss = ad.gather_sum(x, rows, cols)
+    assert loss.item() == 15.0
+    ad.backward(loss)
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_requires_scalar():
     x = ad.Tensor([1.0, 2.0])
     with pytest.raises(ad.AutodiffError, match="scalar"):
-        ad.backward(ad.tanh(x))
+        ad.backward(ad.scale(x, 2.0))
 
 
 def test_backward_deterministic():
@@ -76,7 +88,7 @@ def test_backward_deterministic():
     b = store.param("b", (4,), rng)
 
     def closure():
-        return ad.sum_all(ad.tanh(ad.affine(ad.sigmoid(x), w, b)))
+        return _sum(_tanh(ad.affine(ad.softmax(x), w, b)))
 
     ad.backward(closure(), store)
     first = {n: t.grad.copy() for n, t in store.items()}
@@ -89,7 +101,7 @@ def test_unreachable_tensors_get_zero_grad():
     store = ad.ParamStore()
     x = _param(store, "x", [2.0])
     unused = _param(store, "unused", [[1.0, 2.0]])
-    ad.backward(ad.sum_all(x), store)
+    ad.backward(ad.pick(x, 0), store)
     assert np.array_equal(unused.grad, np.zeros((1, 2)))
     assert x.grad[0] == 1.0
 
@@ -115,10 +127,8 @@ def test_elementwise_chain_matches_finite_differences(seed):
         b = store.param("b", (n,), rng)
 
         def closure():
-            t = ad.mul(ad.sigmoid(a), ad.tanh(b))
-            t = ad.add(t, ad.one_minus(ad.mul(a, b)))
-            t = ad.sub(t, ad.neg(b))
-            return ad.sum_all(ad.scale(t, 0.7))
+            t = ad.concat((ad.neg(_tanh(a)), ad.scale(b, 0.7), a))
+            return _sum(_tanh(ad.scale(t, -1.3)))
 
         return closure
 
@@ -138,10 +148,10 @@ def test_linear_algebra_ops_match_finite_differences(seed):
 
         def closure():
             y = ad.affine(x, w, b)
-            scores = ad.matvec(mat, y)
-            ctx = ad.rows_weighted_sum(mat, ad.softmax(scores))
+            scores = ad.matmul(y, mat, transpose_b=True)
+            ctx = ad.matmul(ad.softmax(scores), mat)
             stacked = ad.stack_rows((y, ctx))
-            return ad.sum_all(ad.tanh(stacked))
+            return _sum(_tanh(stacked))
 
         return closure
 
@@ -161,11 +171,10 @@ def test_softmax_pick_embedding_match_finite_differences(seed):
 
         def closure():
             row = ad.embed_row(table, idx)
-            both = ad.concat((row, v))
-            lp = ad.log_softmax(ad.slice_vec(both, 0, e + e))
+            lp = ad.log_softmax(ad.concat((row, v)))
             # the 0.5 keeps the log-sum-exp terms from cancelling exactly
-            return ad.add(ad.nll_pick(lp, pos),
-                          ad.scale(ad.pick(lp, (pos + 1) % (2 * e)), 0.5))
+            return ad.add_scalars((ad.neg(ad.pick(lp, pos)),
+                                   ad.scale(ad.pick(lp, (pos + 1) % (2 * e)), 0.5)))
 
         return closure
 
@@ -186,7 +195,7 @@ def test_gru_chain_matches_finite_differences(seed):
         def closure():
             h = cell.step(x1, h0)
             h = cell.step(x2, h)
-            return ad.sum_all(ad.tanh(h))
+            return _sum(_tanh(h))
 
         return closure
 
@@ -211,11 +220,122 @@ def test_two_layer_gru_loss_matches_finite_differences():
         for x in xs:
             a = c1.step(x, a)
             b = c2.step(a, b)
-            total.append(ad.nll_pick(ad.log_softmax(ad.affine(b, head_w, head_b)), 2))
+            total.append(ad.neg(ad.pick(ad.log_softmax(ad.affine(b, head_w, head_b)), 2)))
         return ad.add_scalars(total)
 
     err = ad.gradient_check(closure, store, samples_per_tensor=None, min_magnitude=0.0)
     assert err < 1e-4
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 10_000))
+def test_row_ops_match_finite_differences(seed):
+    # the row-matrix forms the stacked heads and attention use
+    def build(store, rng):
+        p, n, m, k = (int(v) for v in rng.integers(1, 5, size=4))
+        x = store.param("x", (p, n), rng)
+        extra = store.param("extra", (p, 2), rng)
+        w = store.param("w", (n + 2, m), rng)
+        b = store.param("b", (m,), rng)
+        mat = store.param("mat", (k, m), rng)
+        mask = rng.random((p, m)) < 0.4
+        mask[:, int(rng.integers(m))] = False  # one entry of each row stays
+        rows = rng.integers(p, size=int(rng.integers(1, 2 * p + 1)))
+        live_r, live_c = np.nonzero(~mask)
+
+        def closure():
+            y = ad.affine(ad.concat((x, extra)), w, b)
+            attn = ad.softmax(ad.matmul(y, mat, transpose_b=True))
+            z = ad.matmul(attn, mat)
+            lp = ad.log_softmax(ad.scale(z, 1.7), mask=mask)
+            sm = ad.softmax(y, mask=mask)
+            return ad.add_scalars((
+                ad.gather_sum(lp, live_r, live_c),
+                ad.scale(ad.gather_sum(ad.take_rows(sm, rows), np.arange(len(rows)),
+                                       rows % m), 0.5),
+            ))
+
+        return closure
+
+    _fd_case(seed, build)
+
+
+def test_masked_softmax_entries_are_excluded_exactly():
+    rng = np.random.default_rng(4)
+    logits = rng.standard_normal((3, 4))
+    mask = np.array([[False, True, False, False],
+                     [False, False, False, True],
+                     [True, True, False, True]])
+    for op, masked_value in ((ad.log_softmax, -np.inf), (ad.softmax, 0.0)):
+        a = ad.Tensor(logits.copy())
+        out = op(a, mask=mask)
+        assert (out.values[mask] == masked_value).all()
+        for r in range(3):
+            # each row is the op over its unmasked entries alone
+            alone = op(ad.Tensor(logits[r][~mask[r]])).values
+            assert np.allclose(out.values[r][~mask[r]], alone, rtol=0, atol=1e-15)
+        # an upstream gradient on masked entries still gives them exactly 0
+        a.grad = np.zeros_like(logits)
+        out._backward(rng.standard_normal((3, 4)))
+        assert (a.grad[mask] == 0.0).all()
+        assert (a.grad[:2][~mask[:2]] != 0.0).all()  # row 2 has one live entry
+    assert ad.log_softmax(ad.Tensor([0.3, -1.0]), mask=[True, False]).values[1] == 0.0
+    with pytest.raises(ad.AutodiffError, match="mask shape"):
+        ad.softmax(ad.Tensor(logits), mask=mask[:2])
+
+
+def test_one_d_results_unchanged():
+    # the 1-d forms compute exactly what the one-vector ops computed before
+    # the row-matrix forms were added
+    rng = np.random.default_rng(6)
+    x, q = rng.standard_normal(5), rng.standard_normal(4)
+    w, b, mat = rng.standard_normal((5, 4)), rng.standard_normal(4), rng.standard_normal((3, 4))
+    xt, wt, bt = ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)
+    y = ad.affine(xt, wt, bt)
+    assert np.array_equal(y.values, x @ w + b)
+    for t in (xt, wt, bt):
+        t.grad = np.zeros_like(t.values)
+    y._backward(q)
+    assert np.array_equal(xt.grad, w @ q)
+    assert np.array_equal(wt.grad, np.outer(x, q))
+    assert np.array_equal(bt.grad, q)
+    shifted = q - q.max()
+    assert np.array_equal(ad.log_softmax(ad.Tensor(q)).values,
+                          shifted - math.log(np.exp(shifted).sum()))
+    e = np.exp(shifted)
+    assert np.array_equal(ad.softmax(ad.Tensor(q)).values, e / e.sum())
+    assert np.array_equal(ad.concat((ad.Tensor(x), ad.Tensor(q))).values,
+                          np.concatenate((x, q)))
+    # matmul against the matrix-vector products it replaced
+    scores = ad.matmul(ad.Tensor(q), ad.Tensor(mat), transpose_b=True).values
+    assert np.array_equal(scores, mat @ q)
+    assert np.array_equal(ad.matmul(ad.Tensor(scores), ad.Tensor(mat)).values, mat.T @ scores)
+
+
+def test_row_forms_match_one_row_at_a_time():
+    rng = np.random.default_rng(8)
+    xs, w, b = rng.standard_normal((4, 5)), rng.standard_normal((5, 3)), rng.standard_normal(3)
+    rows = ad.log_softmax(ad.affine(ad.Tensor(xs), ad.Tensor(w), ad.Tensor(b))).values
+    for r in range(4):
+        one = ad.log_softmax(ad.affine(ad.Tensor(xs[r]), ad.Tensor(w), ad.Tensor(b))).values
+        assert np.allclose(rows[r], one, rtol=0, atol=1e-14)
+
+
+def test_gather_and_take_rows_contracts():
+    a = ad.Tensor(np.arange(6.0).reshape(3, 2))
+    assert ad.gather_sum(a, [2, 0, 2], [1, 0, 1]).item() == 10.0
+    a.grad = np.zeros((3, 2))
+    ad.gather_sum(a, [2, 0, 2], [1, 0, 1])._backward(np.asarray(1.0))
+    assert np.array_equal(a.grad, [[1, 0], [0, 0], [0, 2]])  # repeats accumulate
+    assert np.array_equal(ad.take_rows(a, [2, 2, 0]).values, [[4, 5], [4, 5], [0, 1]])
+    with pytest.raises(ad.AutodiffError, match="gather_sum"):
+        ad.gather_sum(a, [3], [0])
+    with pytest.raises(ad.AutodiffError, match="gather_sum"):
+        ad.gather_sum(a, [0, 1], [0])
+    with pytest.raises(ad.AutodiffError, match="take_rows"):
+        ad.take_rows(a, [-1])
+    with pytest.raises(ad.AutodiffError, match="concat"):
+        ad.concat((a, ad.Tensor(np.zeros((2, 2)))))
 
 
 @settings(max_examples=20, deadline=None)
@@ -312,10 +432,10 @@ def test_gradient_check_linear_model_is_exact():
     rng = np.random.default_rng(3)
     store = ad.ParamStore()
     w = store.param("w", (5,), rng)
-    x = ad.const(rng.normal(size=5))
+    x = ad.const(rng.normal(size=(5, 1)))
 
     def closure():
-        return ad.sum_all(ad.mul(w, x))
+        return ad.pick(ad.matmul(w, x), 0)
 
     assert ad.gradient_check(closure, store, samples_per_tensor=None,
                              min_magnitude=0.0) < 1e-9

@@ -7,12 +7,13 @@ from tdtd import autodiff as ad
 from tdtd.decoder import (LSTART_ID, STOP_ID, LayerContext, TdtdConfig,
                           TdtdModel, depth_step, encode_layer, gen_step,
                           generate, generate_scored, predict_node,
-                          tree_log_prob, DecoderError, _predict)
+                          tree_log_prob, DecoderError)
 from tdtd.pcfg import sample_tree
 from tdtd.treebank import parse_bracketed, validate, layer_view
 
 from conftest import tiny_config
 from enumeration import enumerate_process
+from per_step import predict
 
 FIVE_NODE = "(S (NP (DT the) (NN cat)) (VB sat))"
 
@@ -218,7 +219,7 @@ def _replay_log_prob(model, tree):
                 if tree.is_terminal(i):
                     continue
                 for j, c in enumerate(tree.nodes[i].children):
-                    pred = _predict(model, u, ancestors[pos], states[pos], allow_stop=j > 0)
+                    pred = predict(model, u, ancestors[pos], states[pos], allow_stop=j > 0)
                     child = tree.nodes[c]
                     if child.terminal:
                         k = model.term_index(child.label)
@@ -227,7 +228,7 @@ def _replay_log_prob(model, tree):
                         k = model.nt_index(child.label)
                         total += float(pred.gate_nt.values) + float(pred.nt_logp.values[k])
                     u = gen_step(model, u, model.symbol_id(child.label, child.terminal))
-                pred = _predict(model, u, ancestors[pos], states[pos], allow_stop=True)
+                pred = predict(model, u, ancestors[pos], states[pos], allow_stop=True)
                 total += float(pred.gate_stop.values)
                 u = gen_step(model, u, STOP_ID)
         prev_states, prev_ancestors = states, ancestors

@@ -283,3 +283,36 @@ def test_v1_model_fault_names_the_file_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError, match=rf"^line {row + 1}: bad value 'zero' in tensor 'rnn.bg'"):
         load_model(path)
+
+
+# sha256 of the concatenated parameter bytes of freshly built models, as the
+# random initialisation gave them before loading stopped drawing one
+INIT_DIGESTS = {
+    "tdtd": "3eaa38cabe53d991ed9f1d2136af86ee8b147bce651c399e2c4c2ec22dcfa76c",
+    "tdtd-p": "e7e94e53f4bef2e4e64acbe04ae7dbb2f6e2ba2c2481cab260920bed789fc520",
+    "seq-lm": "cc8815ab4f9a078fc1a7bfe421d2eb7344feff84a95040f9cb5e2c53b98d35a8",
+}
+
+
+def _init_models():
+    return [TdtdModel(tiny_config(), rng=np.random.default_rng(0)),
+            TdtdParserModel(tiny_config(), rng=np.random.default_rng(0)),
+            SeqLmModel(SeqLmConfig(tokens=("<bos>", "<eos>", "(S", ")", "a")),
+                       rng=np.random.default_rng(0))]
+
+
+def test_training_init_unchanged_and_loading_draws_none(tmp_path, monkeypatch):
+    models = _init_models()
+    for model in models:
+        digest = hashlib.sha256(b"".join(_model_bits(model).values())).hexdigest()
+        assert digest == INIT_DIGESTS[model.kind], model.kind
+    import tdtd.autodiff as ad
+
+    def no_draw(*args):
+        raise AssertionError("load_model drew a random initialisation")
+
+    monkeypatch.setattr(ad, "init_uniform", no_draw)
+    for model in models:
+        path = tmp_path / model.kind
+        save_model(model, path)
+        _assert_same_params(model, load_model(path))
