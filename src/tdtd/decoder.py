@@ -33,7 +33,7 @@ even when a cap forced a decision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .vocab import UNK
 __all__ = [
     "DecoderError",
     "TdtdConfig",
+    "scalar_fields",
     "TdtdModel",
     "NodeDistribution",
     "LayerContext",
@@ -65,6 +66,14 @@ class DecoderError(ValueError):
     """Configuration or input violates the decoder's contracts."""
 
 
+def scalar_fields(config):
+    """The fields of a config dataclass (class or instance) that hold one
+    int, float, bool or str, in declaration order: the header lines of a
+    model file and the options of the `tdtd` command.  (The annotations
+    are strings: the config modules use postponed evaluation.)"""
+    return [f for f in fields(config) if f.type in ("int", "float", "bool", "str")]
+
+
 @dataclass(frozen=True)
 class TdtdConfig:
     nonterminals: tuple[str, ...]
@@ -77,10 +86,9 @@ class TdtdConfig:
     scaled_attention: bool = True  # used by the conditional variant only
 
     def __post_init__(self):
-        for name in ("hidden_size", "embed_size", "max_depth",
-                     "max_children_per_node", "max_layer_width"):
-            if getattr(self, name) < 1:
-                raise DecoderError(f"{name} must be >= 1")
+        for f in scalar_fields(self):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise DecoderError(f"{f.name} must be >= 1")
         if not self.nonterminals or not self.terminals:
             raise DecoderError("vocabularies must be non-empty")
         overlap = set(self.nonterminals) & set(self.terminals)
@@ -89,16 +97,6 @@ class TdtdConfig:
         for reserved in ("<stop>", "<lstart>"):
             if reserved in self.nonterminals or reserved in self.terminals:
                 raise DecoderError(f"{reserved} is reserved")
-
-    def scalar_fields(self):
-        return {
-            "hidden_size": self.hidden_size,
-            "embed_size": self.embed_size,
-            "max_depth": self.max_depth,
-            "max_children_per_node": self.max_children_per_node,
-            "max_layer_width": self.max_layer_width,
-            "scaled_attention": int(self.scaled_attention),
-        }
 
 
 class TdtdModel:

@@ -126,26 +126,39 @@ def _ngram_counts(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _closest_ref_length(cand_len, references):
-    return min((abs(len(r) - cand_len), len(r)) for r in references)[1]
+def _clipped_counts(candidates, references, n):
+    """For each candidate, (clipped, total) n-gram counts for k = 1..n.
+
+    A candidate n-gram's count is clipped at its largest count in any one
+    reference; those maxima are computed once per call, so the cost is
+    linear in the candidates plus the references.
+    """
+    max_ref_counts = []
+    for k in range(1, n + 1):
+        most = {}
+        for ref in references:
+            for gram, c in _ngram_counts(ref, k).items():
+                if c > most.get(gram, 0):
+                    most[gram] = c
+        max_ref_counts.append(most)
+    for cand in candidates:
+        row = []
+        for k, most in enumerate(max_ref_counts, start=1):
+            counts = _ngram_counts(cand, k)
+            row.append((sum(min(c, most.get(g, 0)) for g, c in counts.items()),
+                        sum(counts.values())))
+        yield row
 
 
-def _sentence_bleu(candidate, references, n):
-    if not candidate:
+def _closest_ref_length(cand_len, ref_lengths):
+    return min((abs(r - cand_len), r) for r in ref_lengths)[1]
+
+
+def _sentence_bleu(cand, row, ref_lengths, n):
+    if not cand:
         return 0.0
     log_sum = 0.0
-    for k in range(1, n + 1):
-        counts = _ngram_counts(candidate, k)
-        total = sum(counts.values())
-        clipped = 0
-        if counts:
-            max_counts = Counter()
-            for ref in references:
-                ref_counts = _ngram_counts(ref, k)
-                for gram in counts:
-                    if ref_counts[gram] > max_counts[gram]:
-                        max_counts[gram] = ref_counts[gram]
-            clipped = sum(min(c, max_counts[g]) for g, c in counts.items())
+    for clipped, total in row:
         # add-one smoothing whenever the clipped count is zero; a candidate
         # shorter than k yields 1 here and the brevity penalty carries the
         # punishment
@@ -154,32 +167,25 @@ def _sentence_bleu(candidate, references, n):
         else:
             p_k = clipped / total
         log_sum += math.log(p_k) / n
-    c = len(candidate)
-    r = _closest_ref_length(c, references)
+    c = len(cand)
+    r = _closest_ref_length(c, ref_lengths)
     bp = 1.0 if c > r else math.exp(1.0 - r / c)
     return bp * math.exp(log_sum)
 
 
-def _corpus_bleu(candidates, references, n):
+def _corpus_bleu(candidates, rows, ref_lengths, n):
     clipped_totals = [0] * n
     totals = [0] * n
     cand_len = 0
     ref_len = 0
-    for cand in candidates:
+    for cand, row in zip(candidates, rows):
         if not cand:
             continue
         cand_len += len(cand)
-        ref_len += _closest_ref_length(len(cand), references)
-        for k in range(1, n + 1):
-            counts = _ngram_counts(cand, k)
-            totals[k - 1] += sum(counts.values())
-            max_counts = Counter()
-            for ref in references:
-                ref_counts = _ngram_counts(ref, k)
-                for gram in counts:
-                    if ref_counts[gram] > max_counts[gram]:
-                        max_counts[gram] = ref_counts[gram]
-            clipped_totals[k - 1] += sum(min(c, max_counts[g]) for g, c in counts.items())
+        ref_len += _closest_ref_length(len(cand), ref_lengths)
+        for k, (clipped, count) in enumerate(row):
+            clipped_totals[k] += clipped
+            totals[k] += count
     if cand_len == 0:
         return 0.0
     log_sum = 0.0
@@ -210,11 +216,14 @@ def bleu_n(candidates, references, n, mode="sentence"):
     references = [list(r) for r in references]
     if not candidates:
         raise MetricsError("candidates must be non-empty")
-    if mode == "sentence":
-        return sum(_sentence_bleu(c, references, n) for c in candidates) / len(candidates)
+    if mode not in ("sentence", "corpus"):
+        raise MetricsError(f"unknown BLEU mode {mode!r}")
+    rows = _clipped_counts(candidates, references, n)
+    ref_lengths = {len(r) for r in references}
     if mode == "corpus":
-        return _corpus_bleu(candidates, references, n)
-    raise MetricsError(f"unknown BLEU mode {mode!r}")
+        return _corpus_bleu(candidates, rows, ref_lengths, n)
+    return sum(_sentence_bleu(c, row, ref_lengths, n)
+               for c, row in zip(candidates, rows)) / len(candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +302,7 @@ def _f1_from_counts(matched, predicted, gold):
 
 def bracket_f1(predicted, gold):
     """Labeled bracket precision/recall/F1 for one tree pair."""
-    if predicted.terminal_yield() != gold.terminal_yield():
-        raise MetricsError("terminal yields differ; trees are not comparable")
-    p_spans = labeled_spans(predicted)
-    g_spans = labeled_spans(gold)
-    matched = sum((p_spans & g_spans).values())
-    return _f1_from_counts(matched, sum(p_spans.values()), sum(g_spans.values()))
+    return bracket_f1_corpus([(predicted, gold)])
 
 
 def bracket_f1_corpus(pairs):

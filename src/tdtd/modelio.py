@@ -22,7 +22,7 @@ such as `[` ended a v1 listing early.
 from __future__ import annotations
 
 from . import autodiff as ad
-from .decoder import TdtdConfig, TdtdModel
+from .decoder import TdtdConfig, TdtdModel, scalar_fields
 from .parser import TdtdParserModel
 from .seqlm import SeqLmConfig, SeqLmModel
 
@@ -38,8 +38,9 @@ class ModelIoError(ValueError):
 
 def _format_header(model):
     lines = [MODEL_MAGIC, f"kind={model.kind}"]
-    for key, value in model.config.scalar_fields().items():
-        lines.append(f"{key}={value}")
+    for f in scalar_fields(model.config):
+        value = getattr(model.config, f.name)
+        lines.append(f"{f.name}={int(value) if f.type == 'bool' else value}")
     return lines
 
 
@@ -116,36 +117,27 @@ def load_model(source):
     if kind not in ("tdtd", "tdtd-p", "seq-lm"):
         raise ModelIoError(f"unknown or missing model kind: {kind!r}")
 
-    def intval(key):
-        try:
-            return int(scalars[key])
-        except KeyError:
-            raise ModelIoError(f"missing config field {key!r}") from None
-        except ValueError:
-            raise ModelIoError(f"bad integer for {key!r}: {scalars[key]!r}") from None
+    def build(config_class, **listings):
+        values = {}
+        for f in scalar_fields(config_class):
+            try:
+                value = int(scalars[f.name])
+            except KeyError:
+                raise ModelIoError(f"missing config field {f.name!r}") from None
+            except ValueError:
+                raise ModelIoError(
+                    f"bad integer for {f.name!r}: {scalars[f.name]!r}") from None
+            values[f.name] = bool(value) if f.type == "bool" else value
+        return config_class(**listings, **values)
 
     if kind == "seq-lm":
         tokens, i = _parse_listing(lines, i, "tokens", counted)
-        config = SeqLmConfig(
-            tokens=tuple(tokens),
-            hidden_size=intval("hidden_size"),
-            embed_size=intval("embed_size"),
-            max_length=intval("max_length"),
-        )
-        model = SeqLmModel(config, rng=ad._NO_INIT)
+        model = SeqLmModel(build(SeqLmConfig, tokens=tuple(tokens)), rng=ad._NO_INIT)
     else:
         nonterminals, i = _parse_listing(lines, i, "nonterminals", counted)
         terminals, i = _parse_listing(lines, i, "terminals", counted)
-        config = TdtdConfig(
-            nonterminals=tuple(nonterminals),
-            terminals=tuple(terminals),
-            hidden_size=intval("hidden_size"),
-            embed_size=intval("embed_size"),
-            max_depth=intval("max_depth"),
-            max_children_per_node=intval("max_children_per_node"),
-            max_layer_width=intval("max_layer_width"),
-            scaled_attention=bool(intval("scaled_attention")),
-        )
+        config = build(TdtdConfig, nonterminals=tuple(nonterminals),
+                       terminals=tuple(terminals))
         cls = TdtdParserModel if kind == "tdtd-p" else TdtdModel
         model = cls(config, rng=ad._NO_INIT)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .decoder import _sample_categorical
 from .vocab import BOS, EOS
 
 __all__ = ["SeqLmError", "SeqLmConfig", "SeqLmModel",
@@ -39,13 +40,6 @@ class SeqLmConfig:
             raise SeqLmError(f"token vocabulary must start with {BOS}, {EOS}")
         if len(set(self.tokens)) != len(self.tokens):
             raise SeqLmError("duplicate tokens in vocabulary")
-
-    def scalar_fields(self):
-        return {
-            "hidden_size": self.hidden_size,
-            "embed_size": self.embed_size,
-            "max_length": self.max_length,
-        }
 
 
 class SeqLmModel:
@@ -123,15 +117,7 @@ def sample_sequence_scored(model, rng=None, max_length=None, greedy=False):
             if greedy:
                 nxt = int(np.argmax(log_probs))
             else:
-                probs = np.exp(log_probs)
-                r = rng.random() * probs.sum()
-                acc = 0.0
-                nxt = len(probs) - 1
-                for i, p in enumerate(probs):
-                    acc += p
-                    if r < acc:
-                        nxt = i
-                        break
+                nxt = _sample_categorical(np.exp(log_probs), rng)
             total += float(log_probs[nxt])
             if nxt == EOS_ID:
                 break

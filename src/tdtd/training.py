@@ -13,7 +13,7 @@ the config seed, and gradient accumulation follows example order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class TrainConfig:
     learning_rate: float = 0.01
     batch_size: int = 16
     epochs: int = 10
-    optimizer: str = "adam"  # adam | sgd
+    optimizer: str = field(default="adam", metadata={"choices": ("adam", "sgd")})
     grad_clip: float = 5.0
     eval_period: int = 1
     dev_fraction: float = 0.1
@@ -65,7 +65,7 @@ class TrainConfig:
     tf_initial: float = 1.0
     tf_final: float = 1.0
     tf_anneal_steps: int = 1
-    tf_schedule: str = "linear"  # linear | exponential
+    tf_schedule: str = field(default="linear", metadata={"choices": ("linear", "exponential")})
 
     def __post_init__(self):
         if not 0.0 <= self.tf_initial <= 1.0 or not 0.0 <= self.tf_final <= 1.0:
@@ -76,10 +76,10 @@ class TrainConfig:
             raise TrainingError("curriculum increments must be >= 0, period >= 1")
         if self.batch_size < 1 or self.epochs < 0:
             raise TrainingError("batch_size must be >= 1 and epochs >= 0")
-        if self.tf_schedule not in ("linear", "exponential"):
-            raise TrainingError(f"unknown tf_schedule {self.tf_schedule!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise TrainingError(f"unknown optimizer {self.optimizer!r}")
+        for f in fields(self):
+            choices = f.metadata.get("choices")
+            if choices and getattr(self, f.name) not in choices:
+                raise TrainingError(f"unknown {f.name} {getattr(self, f.name)!r}")
         if not 0.0 < self.dev_fraction < 1.0:
             raise TrainingError("dev_fraction must be in (0, 1)")
 
@@ -92,28 +92,21 @@ def curriculum_caps(epoch, config):
             config.curriculum_initial_width + relax)
 
 
-def curriculum_keep_mask(dataset, epoch, config):
-    depth_cap, width_cap = curriculum_caps(epoch, config)
-    if depth_cap is None:
-        return [True] * len(dataset)
-    return [
-        t.depth() <= depth_cap and t.max_layer_width() <= width_cap for t in dataset
-    ]
-
-
 def curriculum_filter(dataset, epoch, config):
     """Trees whose depth and max layer width fit the epoch's caps.
 
     Identity when the curriculum is disabled or the caps exceed the dataset
-    maxima.  Raises when the first epoch would see an empty subset.
+    maxima.  Raises when the caps leave an empty subset.
     """
-    dataset = list(dataset)
-    subset = [t for t, keep in zip(dataset, curriculum_keep_mask(dataset, epoch, config)) if keep]
-    if not subset and epoch == 0:
-        depth_cap, width_cap = curriculum_caps(epoch, config)
+    depth_cap, width_cap = curriculum_caps(epoch, config)
+    if depth_cap is None:
+        return list(dataset)
+    subset = [t for t in dataset
+              if t.depth() <= depth_cap and t.max_layer_width() <= width_cap]
+    if not subset:
         raise TrainingError(
             f"curriculum caps (depth {depth_cap}, width {width_cap}) leave no "
-            f"training trees at epoch 0; raise the initial caps"
+            f"training trees at epoch {epoch}; raise the initial caps"
         )
     return subset
 
@@ -135,35 +128,23 @@ def teacher_forcing_prob(step, config):
 # model construction from a dataset
 
 
-def build_model_config(kind, trees, hidden_size=32, embed_size=32, max_depth=None,
-                       max_children_per_node=8, max_layer_width=64,
-                       scaled_attention=True, max_length=None):
+def build_model_config(kind, trees, **overrides):
     """Configs with vocabularies built from the dataset (frequency-sorted,
-    reserved symbols first)."""
+    reserved symbols first).  `overrides` set scalar fields of the kind's
+    config class; the others keep their defaults, except the depth cap of
+    the tree kinds and the length cap of seq-lm, which the data decides
+    unless given."""
     if kind not in MODEL_KINDS:
         raise TrainingError(f"unknown model kind {kind!r}")
     if kind == "seq-lm":
-        if max_length is None:
-            max_length = max(len(linearize_brackets(t)) for t in trees) * 2
-        return SeqLmConfig(
-            tokens=tuple(build_token_vocab(trees)),
-            hidden_size=hidden_size,
-            embed_size=embed_size,
-            max_length=max_length,
-        )
+        if overrides.get("max_length") is None:
+            overrides["max_length"] = max(len(linearize_brackets(t)) for t in trees) * 2
+        return SeqLmConfig(tokens=tuple(build_token_vocab(trees)), **overrides)
     nonterminals, terminals = build_tree_vocab(trees)
-    if max_depth is None:
-        max_depth = max(max(t.depth() for t in trees), 2)
-    return TdtdConfig(
-        nonterminals=tuple(nonterminals),
-        terminals=tuple(terminals),
-        hidden_size=hidden_size,
-        embed_size=embed_size,
-        max_depth=max_depth,
-        max_children_per_node=max_children_per_node,
-        max_layer_width=max_layer_width,
-        scaled_attention=scaled_attention,
-    )
+    if overrides.get("max_depth") is None:
+        overrides["max_depth"] = max(max(t.depth() for t in trees), 2)
+    return TdtdConfig(nonterminals=tuple(nonterminals), terminals=tuple(terminals),
+                      **overrides)
 
 
 def build_model(kind, config, rng):
@@ -233,22 +214,21 @@ class TrainResult:
 # the loop
 
 
-def _example_loss(kind, model, tree, seq_tokens, sampler):
+def _example_loss(kind, model, tree, sampler):
     if kind == "tdtd":
         return ad.neg(_score_tree(model, tree, sampler=sampler))
     if kind == "tdtd-p":
         return ad.neg(
             conditional_tree_log_prob(model, tree, tree.terminal_yield(), sampler=sampler)
         )
-    return ad.neg(sequence_log_prob(model, seq_tokens, sampler=sampler))
+    return ad.neg(sequence_log_prob(model, linearize_brackets(tree), sampler=sampler))
 
 
-def _dataset_nll(kind, model, trees, token_seqs):
+def _dataset_nll(kind, model, trees):
     total = 0.0
     with ad.no_grad():
-        for i, tree in enumerate(trees):
-            seq = token_seqs[i] if token_seqs is not None else None
-            total += _example_loss(kind, model, tree, seq, sampler=None).item()
+        for tree in trees:
+            total += _example_loss(kind, model, tree, sampler=None).item()
     return total / len(trees)
 
 
@@ -292,16 +272,8 @@ def train(kind, dataset, config, model_config=None, dev=None, checkpoint_dir=Non
     model = build_model(kind, model_config, init_rng)
     optimizer = ad.make_optimizer(config.optimizer, config.learning_rate)
 
-    def tokens_for(trees):
-        if kind != "seq-lm":
-            return None
-        return [linearize_brackets(t) for t in trees]
-
-    train_tokens = tokens_for(train_set)
-    dev_tokens = tokens_for(dev)
-
     report = TrainReport()
-    dev_nll0 = _dataset_nll(kind, model, dev, dev_tokens) if dev else math.nan
+    dev_nll0 = _dataset_nll(kind, model, dev) if dev else math.nan
     report.rows.append(
         EpochRow(0, math.nan, dev_nll0, teacher_forcing_prob(0, config),
                  *curriculum_caps(0, config))
@@ -318,24 +290,15 @@ def train(kind, dataset, config, model_config=None, dev=None, checkpoint_dir=Non
 
     step = 0
     for epoch in range(1, config.epochs + 1):
-        subset_idx = [
-            i for i, t in enumerate(curriculum_keep_mask(train_set, epoch - 1, config))
-            if t
-        ]
-        if not subset_idx:
-            raise TrainingError(f"curriculum left no training trees at epoch {epoch}")
-        order = shuffle_rng.permutation(len(subset_idx))
-        shuffled = [subset_idx[i] for i in order]
+        subset = curriculum_filter(train_set, epoch - 1, config)
+        shuffled = [subset[i] for i in shuffle_rng.permutation(len(subset))]
         epoch_loss = 0.0
         n_examples = 0
         for start in range(0, len(shuffled), config.batch_size):
             batch = shuffled[start : start + config.batch_size]
             tf_prob = teacher_forcing_prob(step, config)
             sampler = _ScheduledSampler(ss_rng, tf_prob) if config.ss_enabled else None
-            losses = []
-            for i in batch:
-                seq = train_tokens[i] if train_tokens is not None else None
-                losses.append(_example_loss(kind, model, train_set[i], seq, sampler))
+            losses = [_example_loss(kind, model, tree, sampler) for tree in batch]
             loss = ad.scale(ad.add_scalars(losses), 1.0 / len(losses))
             value = loss.item()
             if not math.isfinite(value):
@@ -363,7 +326,7 @@ def train(kind, dataset, config, model_config=None, dev=None, checkpoint_dir=Non
             step += 1
         train_nll = epoch_loss / n_examples
         if dev and (epoch % config.eval_period == 0 or epoch == config.epochs):
-            dev_nll = _dataset_nll(kind, model, dev, dev_tokens)
+            dev_nll = _dataset_nll(kind, model, dev)
         else:
             dev_nll = math.nan
         report.rows.append(

@@ -1,10 +1,15 @@
+import argparse
+import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tdtd.cli import ConfigError, load_config, run
+from tdtd.cli import CONFIG_SCHEMA, ConfigError, _build_parser, load_config, run
+from tdtd.modelio import load_model
 from tdtd.pcfg import generate_dataset
 from tdtd.treebank import parse_bracketed, read_treebank, to_bracketed, write_treebank
 
@@ -317,3 +322,221 @@ def test_exit_status_matches_summary(tmp_path, capsys):
     status, summary, _ = _run(capsys, "eval-nll", "--grammar",
                               tmp_path / "missing.pcfg", "--data", tmp_path / "x")
     assert status == 1 and summary.endswith("FAIL")
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: a refactor must not move one bit of what `generate` writes
+
+
+@pytest.mark.parametrize("kind, extra, digest", [
+    ("tdtd", ["--curriculum-enabled", "true", "--curriculum-initial-depth", "4",
+              "--ss-enabled", "true", "--tf-initial", "0.5", "--tf-anneal-steps", "3"],
+     "cd81b3d901169dde3087b97478f21e80177f1872370b9e9be7a52e2ed8f5bf14"),
+    ("seq-lm", ["--ss-enabled", "true", "--tf-initial", "0.5", "--tf-anneal-steps", "3"],
+     "432c88ec6e4d36c1461da373625f96347ed61cb8c4e96ac64296e6b659255828"),
+])
+def test_generate_output_pinned(tmp_path, grammar_file, kind, extra, digest):
+    data, model_dir, samples = tmp_path / "trees.txt", tmp_path / "m", tmp_path / "s.txt"
+    assert run(["gen-data", "--grammar", grammar_file, "--nodes", "8", "--count", "30",
+                "--seed", "31", "--out", str(data)]) == 0
+    assert run(["train", "--model", kind, "--data", str(data), "--out", str(model_dir),
+                "--epochs", "2", "--batch-size", "4", "--seed", "32",
+                "--hidden-size", "8", "--embed-size", "8", *extra]) == 0
+    assert run(["generate", "--model-file", str(model_dir / "final.ckpt"), "--count", "20",
+                "--seed", "33", "--out", str(samples)]) == 0
+    assert hashlib.sha256(samples.read_bytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the option surface: config keys, flags and manifests
+
+
+def _subparsers():
+    parser = _build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# the 49 config keys and their value parsers before the option table
+CONFIG_KEYS = {
+    "int": ("hidden_size embed_size max_depth max_children_per_node max_layer_width "
+            "max_length batch_size epochs eval_period curriculum_initial_depth "
+            "curriculum_initial_width curriculum_period curriculum_increment "
+            "tf_anneal_steps nodes count min_len max_len freq_threshold train_size "
+            "test_size bleu_n seed threads"),
+    "float": "learning_rate grad_clip dev_fraction tf_initial tf_final prune_threshold penalty",
+    "str": ("optimizer tf_schedule start bleu_mode kind grammar data dev_data model_file "
+            "candidates references out model"),
+    "_boolval": "scaled_attention curriculum_enabled ss_enabled greedy exclude_root",
+}
+
+_KINDS = ("tdtd", "tdtd-p", "seq-lm")
+_COMMON = [("--config", "config", "str"), ("--run-dir", "run_dir", "str"),
+           ("--threads", "threads", "int")]
+_SEED = [("--seed", "seed", "int")]
+# every flag of every subcommand before the option table: (flag, dest, form)
+FLAGS = {
+    "gen-data": _COMMON + _SEED + [
+        ("--grammar", "grammar", "str"), ("--start", "start", "str"),
+        ("--prune-threshold", "prune_threshold", "float"), ("--count", "count", "int"),
+        ("--nodes", "nodes", "int"), ("--max-depth", "max_depth", "int"),
+        ("--out", "out", "str")],
+    "train": _COMMON + _SEED + [
+        ("--model", "model", _KINDS), ("--data", "data", "str"),
+        ("--dev-data", "dev_data", "str"), ("--out", "out", "str"),
+        ("--epochs", "epochs", "int"), ("--batch-size", "batch_size", "int"),
+        ("--learning-rate", "learning_rate", "float"),
+        ("--optimizer", "optimizer", ("adam", "sgd")),
+        ("--hidden-size", "hidden_size", "int"), ("--embed-size", "embed_size", "int"),
+        ("--max-depth", "max_depth", "int"), ("--max-length", "max_length", "int"),
+        ("--eval-period", "eval_period", "int"),
+        ("--curriculum-enabled", "curriculum_enabled", "bool"),
+        ("--curriculum-initial-depth", "curriculum_initial_depth", "int"),
+        ("--curriculum-initial-width", "curriculum_initial_width", "int"),
+        ("--curriculum-period", "curriculum_period", "int"),
+        ("--curriculum-increment", "curriculum_increment", "int"),
+        ("--ss-enabled", "ss_enabled", "bool"), ("--tf-initial", "tf_initial", "float"),
+        ("--tf-final", "tf_final", "float"),
+        ("--tf-anneal-steps", "tf_anneal_steps", "int"),
+        ("--tf-schedule", "tf_schedule", ("linear", "exponential"))],
+    "generate": _COMMON + _SEED + [
+        ("--model-file", "model_file", "str"), ("--count", "count", "int"),
+        ("--greedy", "greedy", "switch"), ("--out", "out", "str")],
+    "score": _COMMON + [
+        ("--model-file", "model_file", "str"), ("--data", "data", "str"),
+        ("--exclude-root", "exclude_root", "switch"), ("--out", "out", "str")],
+    "rerank": _COMMON + [
+        ("--model-file", "model_file", "str"), ("--candidates", "candidates", "str"),
+        ("--out", "out", "str")],
+    "eval-nll": _COMMON + [
+        ("--grammar", "grammar", "str"), ("--start", "start", "str"),
+        ("--prune-threshold", "prune_threshold", "float"), ("--data", "data", "str"),
+        ("--kind", "kind", ("trees", "tokens")), ("--penalty", "penalty", "float"),
+        ("--json", "json", "store_true")],
+    "eval-bleu": _COMMON + [
+        ("--candidates", "candidates", "str"), ("--references", "references", "str"),
+        ("--n", "bleu_n", "int"), ("--bleu-mode", "bleu_mode", ("sentence", "corpus")),
+        ("--json", "json", "store_true")],
+    "eval-f1": _COMMON + [
+        ("--pred", "data", "str"), ("--gold", "references", "str"),
+        ("--json", "json", "store_true")],
+    "grad-check": _COMMON + _SEED + [("--model", "model", _KINDS)],
+    "corpus-filter": _COMMON + _SEED + [
+        ("--data", "data", "str"), ("--out", "out", "str"), ("--min-len", "min_len", "int"),
+        ("--max-len", "max_len", "int"), ("--freq-threshold", "freq_threshold", "int"),
+        ("--train-size", "train_size", "int"), ("--test-size", "test_size", "int")],
+}
+
+# (arguments after the flag, parsed value) for each form
+_SAMPLES = {"str": [(["x.txt"], "x.txt")], "int": [(["3"], 3), (["-2"], -2)],
+            "float": [(["0.25"], 0.25)], "bool": [(["yes"], True), (["off"], False)],
+            "switch": [([], True)], "store_true": [([], True)]}
+
+
+def test_option_surface_unchanged():
+    assert len(CONFIG_KEYS) == 4 and sum(len(v.split()) for v in CONFIG_KEYS.values()) == 49
+    assert {key: parse.__name__ for key, parse in CONFIG_SCHEMA.items()} == {
+        key: name for name, keys in CONFIG_KEYS.items() for key in keys.split()}
+    assert sum(len(flags) for flags in FLAGS.values()) == 99
+    subparsers = _subparsers()
+    assert sorted(subparsers) == sorted(FLAGS)
+    parser = _build_parser()
+    for command, flags in FLAGS.items():
+        unset = vars(parser.parse_args([command]))
+        for flag, dest, form in flags:
+            assert unset[dest] is (False if form == "store_true" else None), (command, flag)
+            if isinstance(form, tuple):
+                samples = [([choice], choice) for choice in form]
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args([command, flag, "bogus"])
+                assert exc.value.code == 2
+            else:
+                samples = _SAMPLES[form]
+            for argv, value in samples:
+                parsed = vars(parser.parse_args([command, flag, *argv]))
+                assert parsed[dest] == value and type(parsed[dest]) is type(value), \
+                    (command, flag, argv, parsed[dest])
+
+
+def test_readme_command_lines_spell_real_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("tdtd ")]
+    assert len(lines) >= 10
+    subparsers = _subparsers()
+    for line in lines:
+        command = line.split()[1]
+        assert command in subparsers, line
+        for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line.split("#", 1)[0]):
+            assert flag in subparsers[command]._option_string_actions, (command, flag)
+
+
+def _manifest(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return dict(line.split(" = ", 1) for line in lines if " = " in line)
+
+
+def _option_dests(command):
+    actions = _subparsers()[command]._actions
+    return {a.dest for a in actions} - {"help", "config", "run_dir", "json"}
+
+
+def test_manifest_lists_every_option_with_the_value_used(tmp_path, grammar_file, capsys):
+    data = tmp_path / "trees.txt"
+    status, _, _ = _run(capsys, "gen-data", "--grammar", grammar_file, "--nodes", 8,
+                        "--count", 20, "--seed", 3, "--prune-threshold", 0.05,
+                        "--start", "S", "--out", data)
+    assert status == 0
+    manifest = _manifest(tmp_path / "manifest.txt")
+    assert manifest.pop("command") == "gen-data"
+    assert set(manifest) == _option_dests("gen-data")
+    assert manifest["prune_threshold"] == "0.05" and manifest["start"] == "S"
+    assert manifest["count"] == "20" and manifest["max_depth"] == "7"
+    assert manifest["seed"] == "3" and manifest["grammar"] == grammar_file
+
+    out = tmp_path / "run"
+    status, _, _ = _run(capsys, "train", "--model", "tdtd", "--data", data, "--out", out,
+                        "--epochs", 2, "--seed", 4, "--hidden-size", 8, "--embed-size", 8,
+                        "--ss-enabled", "true", "--tf-initial", 0.5,
+                        "--tf-anneal-steps", 3, "--eval-period", 2)
+    assert status == 0
+    manifest = _manifest(out / "manifest.txt")
+    assert manifest.pop("command") == "train"
+    assert set(manifest) == _option_dests("train")
+    assert manifest["ss_enabled"] == "True" and manifest["tf_initial"] == "0.5"
+    assert manifest["tf_anneal_steps"] == "3" and manifest["eval_period"] == "2"
+    assert manifest["dev_fraction"] == "0.1" and manifest["learning_rate"] == "0.01"
+    assert manifest["curriculum_initial_depth"] == "3" and manifest["tf_final"] == "1.0"
+    model = load_model(out / "final.ckpt")
+    assert manifest["max_depth"] == str(model.config.max_depth)
+    assert manifest["hidden_size"] == "8" and manifest["max_layer_width"] == "64"
+
+
+def test_tdtd_p_default_sizes(tmp_path, grammar_file, capsys):
+    data = tmp_path / "trees.txt"
+    assert run(["gen-data", "--grammar", grammar_file, "--nodes", "6", "--count", "4",
+                "--seed", "3", "--out", str(data)]) == 0
+    for extra, sizes in (([], (128, 128)), (["--hidden-size", "16"], (16, 128))):
+        out = tmp_path / f"p{len(extra)}"
+        status, _, _ = _run(capsys, "train", "--model", "tdtd-p", "--data", data,
+                            "--out", out, "--epochs", 0, "--seed", 1, *extra)
+        assert status == 0
+        config = load_model(out / "final.ckpt").config
+        assert (config.hidden_size, config.embed_size) == sizes
+
+
+def test_threads_from_config_validated(tmp_path, capsys):
+    config = tmp_path / "t.cfg"
+    config.write_text("threads = 0\n")
+    status, summary, _ = _run(capsys, "grad-check", "--config", config)
+    assert status == 1 and summary == "grad-check error=--threads must be >= 1 FAIL"
+
+
+@pytest.mark.parametrize("flag", ["--train-size", "--test-size"])
+def test_corpus_filter_rejects_negative_sizes(tmp_path, capsys, flag):
+    data = tmp_path / "corpus.txt"
+    data.write_text("\n".join(["a" + " a" * 19] * 50) + "\n")
+    status, _, out = _run(capsys, "corpus-filter", "--data", data, "--out", tmp_path / "f",
+                          "--seed", 1, "--freq-threshold", 2, flag, -5)
+    assert status == 1 and out == [f"corpus-filter error={flag} must be >= 0 FAIL"]
+    assert not (tmp_path / "f.train").exists()

@@ -1,8 +1,11 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdtd.metrics import (MetricsError, bleu_n, bracket_f1, bracket_f1_corpus,
                           labeled_spans, sample_report)
@@ -134,6 +137,90 @@ def test_bleu_corpus_mode_differs_but_bounded():
 def test_bleu_requires_references():
     with pytest.raises(MetricsError):
         bleu_n([["a"]], [], 2)
+
+
+def _ngrams(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _closest_ref_length(cand_len, references):
+    return min((abs(len(r) - cand_len), len(r)) for r in references)[1]
+
+
+def _reference_sentence_bleu(candidate, references, n):
+    """The per-candidate loop bleu_n replaced: every reference's n-grams are
+    recounted for every candidate and every order."""
+    if not candidate:
+        return 0.0
+    log_sum = 0.0
+    for k in range(1, n + 1):
+        counts = _ngrams(candidate, k)
+        total = sum(counts.values())
+        clipped = 0
+        if counts:
+            max_counts = Counter()
+            for ref in references:
+                ref_counts = _ngrams(ref, k)
+                for gram in counts:
+                    if ref_counts[gram] > max_counts[gram]:
+                        max_counts[gram] = ref_counts[gram]
+            clipped = sum(min(c, max_counts[g]) for g, c in counts.items())
+        if clipped == 0:
+            p_k = 1.0 / (total + 1.0)
+        else:
+            p_k = clipped / total
+        log_sum += math.log(p_k) / n
+    c = len(candidate)
+    r = _closest_ref_length(c, references)
+    bp = 1.0 if c > r else math.exp(1.0 - r / c)
+    return bp * math.exp(log_sum)
+
+
+def _reference_corpus_bleu(candidates, references, n):
+    clipped_totals = [0] * n
+    totals = [0] * n
+    cand_len = 0
+    ref_len = 0
+    for cand in candidates:
+        if not cand:
+            continue
+        cand_len += len(cand)
+        ref_len += _closest_ref_length(len(cand), references)
+        for k in range(1, n + 1):
+            counts = _ngrams(cand, k)
+            totals[k - 1] += sum(counts.values())
+            max_counts = Counter()
+            for ref in references:
+                ref_counts = _ngrams(ref, k)
+                for gram in counts:
+                    if ref_counts[gram] > max_counts[gram]:
+                        max_counts[gram] = ref_counts[gram]
+            clipped_totals[k - 1] += sum(min(c, max_counts[g]) for g, c in counts.items())
+    if cand_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for k in range(n):
+        if clipped_totals[k] == 0:
+            p_k = 1.0 / (totals[k] + 1.0)
+        else:
+            p_k = clipped_totals[k] / totals[k]
+        log_sum += math.log(p_k) / n
+    bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
+    return bp * math.exp(log_sum)
+
+
+_SENTENCES = st.lists(st.lists(st.sampled_from("abcde"), max_size=9), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidates=_SENTENCES, references=_SENTENCES, n=st.integers(1, 5))
+def test_bleu_equals_per_candidate_reference(candidates, references, n):
+    # equal, not close: the same clipped integers and the same float operations
+    sentence = (sum(_reference_sentence_bleu(c, references, n) for c in candidates)
+                / len(candidates))
+    assert bleu_n(candidates, references, n) == sentence
+    assert bleu_n(candidates, references, n, mode="corpus") == \
+        _reference_corpus_bleu(candidates, references, n)
 
 
 # ---------------------------------------------------------------------------
