@@ -19,12 +19,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics, pcfg, treebank
-from .decoder import TdtdConfig, TdtdModel, generate_scored, scalar_fields, tree_log_prob
-from .modelio import load_model
-from .parser import (TdtdParserModel, conditional_tree_log_prob, format_rerank_tsv,
-                     read_candidate_file, rerank)
-from .seqlm import SeqLmConfig, SeqLmModel, sample_sequence, sequence_log_prob
-from .training import (MODEL_KINDS, TrainConfig, build_model_config, train)
+from .decoder import TdtdConfig, generate_scored, scalar_fields
+from .modelio import MODEL_CLASSES, load_model
+from .parser import format_rerank_tsv, read_candidate_file, rerank
+from .seqlm import SeqLmConfig, sample_sequence, sequence_log_prob
+from .training import MODEL_KINDS, TrainConfig, model_class, train
 
 __all__ = ["main", "run", "load_config", "ConfigError"]
 
@@ -82,14 +81,20 @@ def load_config(path):
 
 def _resolve(args, file_config):
     """Set each option of the subcommand on `args`: CLI flag > config file >
-    default, where the seed falls back to TDTD_SEED before its default."""
+    default, where the seed falls back to TDTD_SEED before its default.  An
+    option with choices must resolve to one of them."""
     for opt in _options(args.command):
         value = getattr(args, opt.key)
         if value is None:
             value = file_config.get(opt.key)
         if value is None and opt.key == "seed":
             value = _env_seed()
-        setattr(args, opt.key, opt.default if value is None else value)
+        if value is None:
+            value = opt.default
+        if opt.choices and value not in opt.choices:
+            raise ConfigError(f"{opt.key} must be one of {', '.join(opt.choices)}, "
+                              f"got {value!r}")
+        setattr(args, opt.key, value)
 
 
 def _env_seed():
@@ -170,8 +175,6 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     kind = args.model
-    if kind not in MODEL_KINDS:
-        raise CliError(f"--model must be one of {', '.join(MODEL_KINDS)}")
     if not args.data:
         raise CliError("--data is required")
     if not args.out:
@@ -182,9 +185,8 @@ def cmd_train(args):
 
     train_config = TrainConfig(seed=args.seed,
                                **{f.name: getattr(args, f.name) for f in _TRAIN_FIELDS})
-    config_class = SeqLmConfig if kind == "seq-lm" else TdtdConfig
-    overrides = {f.name: getattr(args, f.name) for f in scalar_fields(config_class)
-                 if getattr(args, f.name) is not None}
+    overrides = {name: getattr(args, name) for name in _MODEL_FIELDS
+                 if getattr(args, name) is not None}
     if kind == "tdtd-p":  # the reference setting sizes the parser at h = e = 128
         overrides = {"hidden_size": 128, "embed_size": 128, **overrides}
     result = train(kind, trees, train_config, dev=dev, checkpoint_dir=args.out,
@@ -231,35 +233,24 @@ def cmd_score(args):
     if not args.model_file or not args.data:
         raise CliError("--model-file and --data are required")
     model = load_model(args.model_file)
-    rows = []
     with ad.no_grad():
-        if model.kind == "seq-lm":
-            with open(args.data, "r", encoding="utf-8") as fh:
-                for i, line in enumerate(fh):
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    lp = sequence_log_prob(model, line.split()).item()
-                    rows.append((i, lp))
+        if model.kind == "seq-lm":  # a sequence model scores token sequences
+            if args.exclude_root:
+                raise CliError("--exclude-root applies to tree models, not seq-lm")
+            lps = [sequence_log_prob(model, tokens).item()
+                   for tokens in _read_sentences(args.data)]
         else:
-            trees = treebank.read_treebank(args.data)
-            for i, tree in enumerate(trees):
-                if model.kind == "tdtd-p":
-                    lp = conditional_tree_log_prob(
-                        model, tree, tree.terminal_yield(),
-                        exclude_root=args.exclude_root).item()
-                else:
-                    lp = tree_log_prob(model, tree, exclude_root=args.exclude_root).item()
-                rows.append((i, lp))
-    text = "\n".join(f"{i}\t{lp:.6f}" for i, lp in rows) + "\n"
+            lps = [model.log_prob(tree, exclude_root=args.exclude_root).item()
+                   for tree in treebank.read_treebank(args.data)]
+    text = "\n".join(f"{i}\t{lp:.6f}" for i, lp in enumerate(lps)) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         write_manifest(_run_dir_for(args, args.out), args, [args.model_file, args.data])
     else:
         sys.stdout.write(text)
-    mean = sum(lp for _, lp in rows) / len(rows) if rows else math.nan
-    return f"score kind={model.kind} items={len(rows)} mean_log_prob={mean:.6f} OK"
+    mean = sum(lps) / len(lps) if lps else math.nan
+    return f"score kind={model.kind} items={len(lps)} mean_log_prob={mean:.6f} OK"
 
 
 def cmd_rerank(args):
@@ -289,10 +280,8 @@ def cmd_eval_nll(args):
         raise CliError("--data is required")
     if args.kind == "trees":
         samples = treebank.read_treebank(args.data)
-    elif args.kind == "tokens":
-        samples = _read_sentences(args.data)
     else:
-        raise CliError("--kind must be trees or tokens")
+        samples = _read_sentences(args.data)
     report = metrics.sample_report(samples, grammar, penalty=args.penalty)
     sys.stdout.write(report.to_json() + "\n" if args.json else
                      report.to_tsv() + report.to_text())
@@ -348,8 +337,6 @@ def cmd_eval_f1(args):
 
 
 def cmd_grad_check(args):
-    if args.model not in MODEL_KINDS:
-        raise CliError(f"--model must be one of {', '.join(MODEL_KINDS)}")
     threshold = 1e-4
     err = _grad_check_error(args.model, args.seed)
     status = "OK" if err < threshold else "FAIL"
@@ -357,31 +344,24 @@ def cmd_grad_check(args):
             f"threshold={threshold:.0e} {status}")
 
 
+# the gradient check's fixture vocabularies and sizes, per config class
+_GRAD_CHECK_CONFIGS = {
+    TdtdConfig: TdtdConfig(nonterminals=("S", "NP", "VP", "DT", "NN", "VB"),
+                           terminals=("<unk>", "the", "cat", "sat"),
+                           hidden_size=10, embed_size=10, max_depth=4),
+    SeqLmConfig: SeqLmConfig(tokens=("<bos>", "<eos>", "(S", "(NP", "(DT", "(NN", "(VB",
+                                     ")", "the", "cat", "sat"),
+                             hidden_size=10, embed_size=10),
+}
+
+
 def _grad_check_error(kind, seed):
     """Finite-difference check on a fixed small fixture (5-node tree)."""
-    rng = np.random.default_rng(seed)
     tree = treebank.parse_bracketed("(S (NP (DT the) (NN cat)) (VB sat))")
-    if kind == "seq-lm":
-        config = SeqLmConfig(
-            tokens=("<bos>", "<eos>", "(S", "(NP", "(DT", "(NN", "(VB", ")",
-                    "the", "cat", "sat"),
-            hidden_size=10, embed_size=10)
-        model = SeqLmModel(config, rng=rng)
-        tokens = treebank.linearize_brackets(tree)
-        closure = lambda: sequence_log_prob(model, tokens)
-    else:
-        config = TdtdConfig(
-            nonterminals=("S", "NP", "VP", "DT", "NN", "VB"),
-            terminals=("<unk>", "the", "cat", "sat"),
-            hidden_size=10, embed_size=10, max_depth=4)
-        if kind == "tdtd-p":
-            model = TdtdParserModel(config, rng=rng)
-            closure = lambda: conditional_tree_log_prob(model, tree, ["the", "cat", "sat"])
-        else:
-            model = TdtdModel(config, rng=rng)
-            closure = lambda: tree_log_prob(model, tree)
-    return ad.gradient_check(closure, model.store, eps=1e-5, samples_per_tensor=6,
-                             rng=np.random.default_rng(seed + 1))
+    cls = model_class(kind)
+    model = cls(_GRAD_CHECK_CONFIGS[cls.config_class], rng=np.random.default_rng(seed))
+    return ad.gradient_check(lambda: model.log_prob(tree), model.store, eps=1e-5,
+                             samples_per_tensor=6, rng=np.random.default_rng(seed + 1))
 
 
 def cmd_corpus_filter(args):
@@ -463,8 +443,9 @@ class Option:
 
 _TYPES = {"int": int, "float": float, "str": str, "bool": _boolval}
 _TRAIN_FIELDS = [f for f in scalar_fields(TrainConfig) if f.name != "seed"]
-# both model config classes, each field once
-_MODEL_FIELDS = {f.name: f for c in (TdtdConfig, SeqLmConfig) for f in scalar_fields(c)}
+# the model config classes' fields, each once
+_MODEL_FIELDS = {f.name: f for cls in MODEL_CLASSES.values()
+                 for f in scalar_fields(cls.config_class)}
 
 OPTIONS = [
     Option("threads", tuple(COMMANDS), int),  # worker parallelism cap (>= 1)

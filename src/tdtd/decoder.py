@@ -103,6 +103,7 @@ class TdtdModel:
     """Parameters plus vocabulary index maps for the breadth-first decoder."""
 
     kind = "tdtd"
+    config_class = TdtdConfig
 
     def __init__(self, config: TdtdConfig, rng=None, seed=0):
         if rng is None:
@@ -144,6 +145,11 @@ class TdtdModel:
     def feature_size(self):
         # emission state + ancestor state + encoded parent state
         return self.config.hidden_size * 2 + self.config.hidden_size * 2
+
+    def log_prob(self, tree, sampler=None, exclude_root=False):
+        """Teacher-forced log p(tree).  Every model class has this scorer;
+        training, `score` and `grad-check` call it whatever the kind."""
+        return tree_log_prob(self, tree, exclude_root=exclude_root, sampler=sampler)
 
     # -- vocabulary ---------------------------------------------------------
 
@@ -215,17 +221,25 @@ def encode_layer(model, symbol_ids, parent_positions, prev: LayerContext | None)
             raise DecoderError("encode_layer: dangling parent index") from None
     embs = [model.embed(s) for s in symbol_ids]
     inputs = [ad.concat((v, p)) for v, p in zip(embs, parents)]
-    fwd = []
-    h = model.layer_fwd_init
-    for x in inputs:
-        h = model.layer_fwd.step(x, h)
-        fwd.append(h)
-    bwd = [None] * n
-    h = model.layer_bwd_init
-    for i in range(n - 1, -1, -1):
-        h = model.layer_bwd.step(inputs[i], h)
-        bwd[i] = h
+    fwd, bwd = _bidirectional(model.layer_fwd, model.layer_bwd,
+                              model.layer_fwd_init, model.layer_bwd_init, inputs)
     return [ad.concat((f, b)) for f, b in zip(fwd, bwd)]
+
+
+def _bidirectional(fwd_cell, bwd_cell, fwd_init, bwd_init, inputs):
+    """Forward and backward GRU states over `inputs`, each list aligned with
+    them: the recurrence of the layer and sentence encoders."""
+    fwd = []
+    h = fwd_init
+    for x in inputs:
+        h = fwd_cell.step(x, h)
+        fwd.append(h)
+    bwd = [None] * len(inputs)
+    h = bwd_init
+    for i in range(len(inputs) - 1, -1, -1):
+        h = bwd_cell.step(inputs[i], h)
+        bwd[i] = h
+    return fwd, bwd
 
 
 def depth_step(model, parent_ancestor_state, label_symbol_id):
@@ -451,13 +465,13 @@ def _score_tree(model, tree, conditioning=None, sampler=None, exclude_root=False
     return ad.add_scalars(terms)
 
 
-def tree_log_prob(model, tree, exclude_root=False):
+def tree_log_prob(model, tree, exclude_root=False, sampler=None):
     """Teacher-forced log p(tree) in nats, as a scalar graph tensor.
 
     With exclude_root=True the root term is dropped, matching the oracle's
-    conditional-on-root scoring.
+    conditional-on-root scoring.  `sampler` applies scheduled sampling.
     """
-    return _score_tree(model, tree, exclude_root=exclude_root)
+    return _score_tree(model, tree, sampler=sampler, exclude_root=exclude_root)
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,18 @@ such as `[` ended a v1 listing early.
 """
 from __future__ import annotations
 
-from . import autodiff as ad
-from .decoder import TdtdConfig, TdtdModel, scalar_fields
-from .parser import TdtdParserModel
-from .seqlm import SeqLmConfig, SeqLmModel
+from dataclasses import fields
 
-__all__ = ["ModelIoError", "save_model", "load_model"]
+from . import autodiff as ad
+from .decoder import TdtdModel, scalar_fields
+from .parser import TdtdParserModel
+from .seqlm import SeqLmModel
+
+__all__ = ["MODEL_CLASSES", "ModelIoError", "save_model", "load_model"]
+
+# each model kind, once: its class names the kind and carries its config
+# class and its teacher-forced tree scorer (`log_prob`)
+MODEL_CLASSES = {cls.kind: cls for cls in (TdtdModel, TdtdParserModel, SeqLmModel)}
 
 MODEL_MAGIC = "TDTD-MODEL v2"
 _MODEL_MAGIC_V1 = "TDTD-MODEL v1"
@@ -44,15 +50,17 @@ def _format_header(model):
     return lines
 
 
+def _listing_fields(config):
+    """The vocabulary fields of a config dataclass, in declaration order: the
+    listings of a model file."""
+    return [f for f in fields(config) if f.type.startswith("tuple")]
+
+
 def save_model(model, destination):
     lines = _format_header(model)
-    if model.kind == "seq-lm":
-        listings = {"tokens": model.config.tokens}
-    else:
-        listings = {"nonterminals": model.config.nonterminals,
-                    "terminals": model.config.terminals}
-    for section, symbols in listings.items():
-        lines.append(f"[{section}] {len(symbols)}")
+    for f in _listing_fields(model.config):
+        symbols = getattr(model.config, f.name)
+        lines.append(f"[{f.name}] {len(symbols)}")
         lines.extend(symbols)
     lines.append("[params]")
     text = "\n".join(lines) + "\n" + ad.format_params(model.store)
@@ -114,32 +122,24 @@ def load_model(source):
     counted = magic == MODEL_MAGIC
     scalars, i = _parse_scalars(lines, 1)
     kind = scalars.pop("kind", None)
-    if kind not in ("tdtd", "tdtd-p", "seq-lm"):
+    model_class = MODEL_CLASSES.get(kind)
+    if model_class is None:
         raise ModelIoError(f"unknown or missing model kind: {kind!r}")
-
-    def build(config_class, **listings):
-        values = {}
-        for f in scalar_fields(config_class):
-            try:
-                value = int(scalars[f.name])
-            except KeyError:
-                raise ModelIoError(f"missing config field {f.name!r}") from None
-            except ValueError:
-                raise ModelIoError(
-                    f"bad integer for {f.name!r}: {scalars[f.name]!r}") from None
-            values[f.name] = bool(value) if f.type == "bool" else value
-        return config_class(**listings, **values)
-
-    if kind == "seq-lm":
-        tokens, i = _parse_listing(lines, i, "tokens", counted)
-        model = SeqLmModel(build(SeqLmConfig, tokens=tuple(tokens)), rng=ad._NO_INIT)
-    else:
-        nonterminals, i = _parse_listing(lines, i, "nonterminals", counted)
-        terminals, i = _parse_listing(lines, i, "terminals", counted)
-        config = build(TdtdConfig, nonterminals=tuple(nonterminals),
-                       terminals=tuple(terminals))
-        cls = TdtdParserModel if kind == "tdtd-p" else TdtdModel
-        model = cls(config, rng=ad._NO_INIT)
+    config_class = model_class.config_class
+    values = {}
+    for f in _listing_fields(config_class):
+        symbols, i = _parse_listing(lines, i, f.name, counted)
+        values[f.name] = tuple(symbols)
+    for f in scalar_fields(config_class):
+        try:
+            value = int(scalars[f.name])
+        except KeyError:
+            raise ModelIoError(f"missing config field {f.name!r}") from None
+        except ValueError:
+            raise ModelIoError(
+                f"bad integer for {f.name!r}: {scalars[f.name]!r}") from None
+        values[f.name] = bool(value) if f.type == "bool" else value
+    model = model_class(config_class(**values), rng=ad._NO_INIT)
 
     if i >= len(lines) or lines[i].strip() != "[params]":
         raise ModelIoError(f"line {i + 1}: expected [params] section")

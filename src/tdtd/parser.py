@@ -57,6 +57,11 @@ class TdtdParserModel(TdtdModel):
         # emission + ancestor + encoded parent + attention context
         return super().feature_size() + self.config.hidden_size * 2
 
+    def log_prob(self, tree, sampler=None, exclude_root=False):
+        """Teacher-forced log p(tree | its terminal yield)."""
+        return conditional_tree_log_prob(self, tree, tree.terminal_yield(), sampler=sampler,
+                                         exclude_root=exclude_root)
+
 
 @dataclass
 class SentenceEncoding:
@@ -77,16 +82,8 @@ def encode_sentence(model, tokens):
     if not tokens:
         raise DecoderError("cannot encode an empty sentence")
     embs = [model.embed(model.term_symbol_id(w)) for w in tokens]
-    fwd = []
-    h = model.enc_fwd_init
-    for x in embs:
-        h = model.enc_fwd.step(x, h)
-        fwd.append(h)
-    bwd = [None] * len(embs)
-    h = model.enc_bwd_init
-    for i in range(len(embs) - 1, -1, -1):
-        h = model.enc_bwd.step(embs[i], h)
-        bwd[i] = h
+    fwd, bwd = dec._bidirectional(model.enc_fwd, model.enc_bwd,
+                                  model.enc_fwd_init, model.enc_bwd_init, embs)
     states = [ad.concat((f, b)) for f, b in zip(fwd, bwd)]
     summary = ad.concat((fwd[-1], bwd[0]))
     # stacked here, in the caller's graph mode: a first call to stacked()

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .decoder import _sample_categorical
+from .treebank import linearize_brackets
 from .vocab import BOS, EOS
 
 __all__ = ["SeqLmError", "SeqLmConfig", "SeqLmModel",
@@ -44,6 +45,7 @@ class SeqLmConfig:
 
 class SeqLmModel:
     kind = "seq-lm"
+    config_class = SeqLmConfig
 
     def __init__(self, config: SeqLmConfig, rng=None, seed=0):
         if rng is None:
@@ -68,6 +70,10 @@ class SeqLmModel:
 
     def step_log_probs(self, state):
         return ad.log_softmax(ad.affine(state, self.w_out, self.b_out))
+
+    def log_prob(self, tree, sampler=None):
+        """Teacher-forced log-prob of the tree's bracket linearization."""
+        return sequence_log_prob(self, linearize_brackets(tree), sampler=sampler)
 
 
 def sequence_log_prob(model, tokens, sampler=None):

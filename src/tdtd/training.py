@@ -13,14 +13,14 @@ the config seed, and gradient accumulation follows example order.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
-from .decoder import TdtdConfig, TdtdModel, _ScheduledSampler, _score_tree
-from .parser import TdtdParserModel, conditional_tree_log_prob
-from .seqlm import SeqLmConfig, SeqLmModel, sequence_log_prob
+from .decoder import _ScheduledSampler, scalar_fields
+from .modelio import MODEL_CLASSES, save_model
 from .treebank import linearize_brackets
 from .vocab import build_token_vocab, build_tree_vocab
 
@@ -30,6 +30,7 @@ __all__ = [
     "TrainReport",
     "TrainResult",
     "MODEL_KINDS",
+    "model_class",
     "curriculum_filter",
     "teacher_forcing_prob",
     "build_model_config",
@@ -37,11 +38,18 @@ __all__ = [
     "train",
 ]
 
-MODEL_KINDS = ("tdtd", "tdtd-p", "seq-lm")
+MODEL_KINDS = tuple(MODEL_CLASSES)
 
 
 class TrainingError(RuntimeError):
     pass
+
+
+def model_class(kind):
+    """The model class that declares `kind`."""
+    if kind not in MODEL_CLASSES:
+        raise TrainingError(f"unknown model kind {kind!r}")
+    return MODEL_CLASSES[kind]
 
 
 @dataclass
@@ -134,27 +142,24 @@ def build_model_config(kind, trees, **overrides):
     config class; the others keep their defaults, except the depth cap of
     the tree kinds and the length cap of seq-lm, which the data decides
     unless given."""
-    if kind not in MODEL_KINDS:
-        raise TrainingError(f"unknown model kind {kind!r}")
+    config_class = model_class(kind).config_class
+    known = {f.name for f in scalar_fields(config_class)}
+    for name in overrides:
+        if name not in known:
+            raise TrainingError(f"{kind} models have no option {name}")
     if kind == "seq-lm":
         if overrides.get("max_length") is None:
             overrides["max_length"] = max(len(linearize_brackets(t)) for t in trees) * 2
-        return SeqLmConfig(tokens=tuple(build_token_vocab(trees)), **overrides)
+        return config_class(tokens=tuple(build_token_vocab(trees)), **overrides)
     nonterminals, terminals = build_tree_vocab(trees)
     if overrides.get("max_depth") is None:
         overrides["max_depth"] = max(max(t.depth() for t in trees), 2)
-    return TdtdConfig(nonterminals=tuple(nonterminals), terminals=tuple(terminals),
-                      **overrides)
+    return config_class(nonterminals=tuple(nonterminals), terminals=tuple(terminals),
+                        **overrides)
 
 
 def build_model(kind, config, rng):
-    if kind == "tdtd":
-        return TdtdModel(config, rng=rng)
-    if kind == "tdtd-p":
-        return TdtdParserModel(config, rng=rng)
-    if kind == "seq-lm":
-        return SeqLmModel(config, rng=rng)
-    raise TrainingError(f"unknown model kind {kind!r}")
+    return model_class(kind)(config, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -214,21 +219,11 @@ class TrainResult:
 # the loop
 
 
-def _example_loss(kind, model, tree, sampler):
-    if kind == "tdtd":
-        return ad.neg(_score_tree(model, tree, sampler=sampler))
-    if kind == "tdtd-p":
-        return ad.neg(
-            conditional_tree_log_prob(model, tree, tree.terminal_yield(), sampler=sampler)
-        )
-    return ad.neg(sequence_log_prob(model, linearize_brackets(tree), sampler=sampler))
-
-
-def _dataset_nll(kind, model, trees):
+def _dataset_nll(model, trees):
     total = 0.0
     with ad.no_grad():
         for tree in trees:
-            total += _example_loss(kind, model, tree, sampler=None).item()
+            total -= model.log_prob(tree).item()
     return total / len(trees)
 
 
@@ -242,8 +237,7 @@ def train(kind, dataset, config, model_config=None, dev=None, checkpoint_dir=Non
     Checkpoints (one per epoch plus `final.ckpt`) and `report.tsv` are
     written under `checkpoint_dir` when given.
     """
-    if kind not in MODEL_KINDS:
-        raise TrainingError(f"unknown model kind {kind!r}")
+    model_class(kind)  # an unknown kind fails before any work
     dataset = list(dataset)
     if not dataset:
         raise TrainingError("empty training dataset")
@@ -273,7 +267,7 @@ def train(kind, dataset, config, model_config=None, dev=None, checkpoint_dir=Non
     optimizer = ad.make_optimizer(config.optimizer, config.learning_rate)
 
     report = TrainReport()
-    dev_nll0 = _dataset_nll(kind, model, dev) if dev else math.nan
+    dev_nll0 = _dataset_nll(model, dev) if dev else math.nan
     report.rows.append(
         EpochRow(0, math.nan, dev_nll0, teacher_forcing_prob(0, config),
                  *curriculum_caps(0, config))
@@ -282,9 +276,6 @@ def train(kind, dataset, config, model_config=None, dev=None, checkpoint_dir=Non
     def checkpoint(name):
         if checkpoint_dir is None:
             return
-        from .modelio import save_model
-        import os
-
         os.makedirs(checkpoint_dir, exist_ok=True)
         save_model(model, os.path.join(checkpoint_dir, name))
 
@@ -298,7 +289,7 @@ def train(kind, dataset, config, model_config=None, dev=None, checkpoint_dir=Non
             batch = shuffled[start : start + config.batch_size]
             tf_prob = teacher_forcing_prob(step, config)
             sampler = _ScheduledSampler(ss_rng, tf_prob) if config.ss_enabled else None
-            losses = [_example_loss(kind, model, tree, sampler) for tree in batch]
+            losses = [ad.neg(model.log_prob(tree, sampler=sampler)) for tree in batch]
             loss = ad.scale(ad.add_scalars(losses), 1.0 / len(losses))
             value = loss.item()
             if not math.isfinite(value):
@@ -326,7 +317,7 @@ def train(kind, dataset, config, model_config=None, dev=None, checkpoint_dir=Non
             step += 1
         train_nll = epoch_loss / n_examples
         if dev and (epoch % config.eval_period == 0 or epoch == config.epochs):
-            dev_nll = _dataset_nll(kind, model, dev)
+            dev_nll = _dataset_nll(model, dev)
         else:
             dev_nll = math.nan
         report.rows.append(
@@ -338,8 +329,6 @@ def train(kind, dataset, config, model_config=None, dev=None, checkpoint_dir=Non
 
     checkpoint("final.ckpt")
     if checkpoint_dir is not None:
-        import os
-
         with open(os.path.join(checkpoint_dir, "report.tsv"), "w",
                   encoding="utf-8", newline="\n") as fh:
             fh.write(report.to_tsv(comments=[

@@ -11,7 +11,8 @@ import pytest
 from tdtd.cli import CONFIG_SCHEMA, ConfigError, _build_parser, load_config, run
 from tdtd.modelio import load_model
 from tdtd.pcfg import generate_dataset
-from tdtd.treebank import parse_bracketed, read_treebank, to_bracketed, write_treebank
+from tdtd.treebank import (linearize_brackets, parse_bracketed, read_treebank, to_bracketed,
+                           write_treebank)
 
 from conftest import TOY_GRAMMAR
 
@@ -540,3 +541,75 @@ def test_corpus_filter_rejects_negative_sizes(tmp_path, capsys, flag):
                           "--seed", 1, "--freq-threshold", 2, flag, -5)
     assert status == 1 and out == [f"corpus-filter error={flag} must be >= 0 FAIL"]
     assert not (tmp_path / "f.train").exists()
+
+
+# ---------------------------------------------------------------------------
+# options a model kind lacks, seq-lm score rows, choices from config files
+
+
+@pytest.fixture(scope="module")
+def seq_lm_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("seqlm")
+    grammar = base / "toy.pcfg"
+    grammar.write_text(TOY_GRAMMAR, encoding="utf-8")
+    data = base / "trees.txt"
+    assert run(["gen-data", "--grammar", str(grammar), "--nodes", "6", "--count", "6",
+                "--seed", "3", "--out", str(data)]) == 0
+    assert run(["train", "--model", "seq-lm", "--data", str(data), "--out", str(base / "lm"),
+                "--epochs", "0", "--seed", "1", "--hidden-size", "4",
+                "--embed-size", "4"]) == 0
+    return {"base": base, "data": data, "model": base / "lm" / "final.ckpt"}
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["train", "--model", "tdtd", "--max-length", 50], "tdtd models have no option max_length"),
+    (["train", "--model", "seq-lm", "--max-depth", 3, "--scaled-attention", "false"],
+     "seq-lm models have no option max_depth"),
+    (["score", "--exclude-root"], "--exclude-root applies to tree models, not seq-lm"),
+], ids=["tdtd-max-length", "seq-lm-max-depth", "seq-lm-exclude-root"])
+def test_options_the_model_kind_lacks_fail(seq_lm_run, capsys, argv, cause):
+    out = seq_lm_run["base"] / "rejected"
+    if argv[0] == "train":
+        argv = argv + ["--data", seq_lm_run["data"], "--out", out, "--epochs", 0, "--seed", 1]
+    else:
+        argv = argv + ["--model-file", seq_lm_run["model"], "--data", seq_lm_run["data"],
+                       "--out", out]
+    status, _, lines = _run(capsys, *argv)
+    assert status == 1 and lines == [f"{argv[0]} error={cause} FAIL"]
+    assert not out.exists()
+
+
+def test_seq_lm_score_rows_count_items(seq_lm_run, capsys):
+    base = seq_lm_run["base"]
+    sequences = [" ".join(linearize_brackets(t)) for t in read_treebank(seq_lm_run["data"])]
+    plain, commented = base / "plain.txt", base / "commented.txt"
+    plain.write_text("\n".join(sequences) + "\n", encoding="utf-8")
+    commented.write_text("# linearized trees\n\n" + "\n".join(sequences) + "\n",
+                         encoding="utf-8")
+    scores = {}
+    for path in (plain, commented):
+        status, summary, lines = _run(capsys, "score", "--model-file", seq_lm_run["model"],
+                                      "--data", path)
+        assert status == 0 and summary.startswith(f"score kind=seq-lm items={len(sequences)} ")
+        scores[path] = lines[:-1]
+    assert [line.split("\t")[0] for line in scores[commented]] == \
+        [str(i) for i in range(len(sequences))]
+    assert scores[commented] == scores[plain]
+
+
+@pytest.mark.parametrize("command, line", [
+    ("train", "model = rnng"),
+    ("train", "model = tdtd\noptimizer = rmsprop"),
+    ("grad-check", "model = rnng"),
+    ("eval-nll", "kind = foo"),
+    ("eval-bleu", "bleu_mode = x"),
+], ids=["train-model", "train-optimizer", "grad-check-model", "eval-nll-kind",
+        "eval-bleu-bleu_mode"])
+def test_config_choices_validated(tmp_path, capsys, command, line):
+    config = tmp_path / "choice.cfg"
+    config.write_text(line + "\n")
+    key, value = (part.strip() for part in line.splitlines()[-1].split("="))
+    status, summary, lines = _run(capsys, command, "--config", config)
+    assert status == 1 and len(lines) == 1
+    assert summary.startswith(f"{command} error={key} must be one of ")
+    assert summary.endswith(f", got {value!r} FAIL")
